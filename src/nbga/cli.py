@@ -1,6 +1,6 @@
 """Command-line driver: seeded multi-run experiments over the TSP and
-ligand problem bundles, trace/report emission, a plain generational-GA
-baseline, and a benchmark-instance fetcher.
+ligand problem bundles, trace/report emission, and a benchmark-instance
+fetcher.
 
 Subcommands: ``solve-tsp``, ``design-ligand``, ``bench``, ``fetch``.
 Reports and traces are written deterministically — rerunning the same
@@ -11,25 +11,21 @@ diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import EngineConfig, Individual, MutationSchedule, RunResult, evolve
-from .ligand import LigandProblem, load_site
+from .core import EngineConfig, MutationSchedule, RunResult, classic_ga_baseline, evolve
+from .ligand import DEFAULT_PARAMS, LigandProblem, fitness, load_site
 from .tsp import BenchmarkStats, TspProblem, error_percent, load_tsplib
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "RunSummary",
-    "classic_ga_baseline",
     "run_experiment",
     "render_report",
     "emit_trace",
@@ -41,11 +37,11 @@ FETCH_BASE_URL_ENV = "NBGA_TSPLIB_BASE_URL"
 DEFAULT_FETCH_NAMES = ("gr24", "bayg29", "gr48", "eil51", "st70")
 
 # published optimal tour lengths for the benchmark instances the
-# harness reports on, keyed by instance name
-KNOWN_OPTIMA = {"gr24": 1272, "bayg29": 1610, "gr48": 5046, "eil51": 426, "st70": 675}
+# harness reports on, keyed by TSPLIB (NAME, DIMENSION)
+KNOWN_OPTIMA = {("gr24", 24): 1272, ("bayg29", 29): 1610, ("gr48", 48): 5046,
+                ("eil51", 51): 426, ("st70", 70): 675}
 
 DEFAULT_GENERATIONS = {"tsp": 2000, "ligand": 100}
-CLASSIC_MUTATION_RATE = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -150,67 +146,6 @@ def config_from_sources(file_values: dict[str, str], flag_values: dict) -> Exper
 
 
 # ---------------------------------------------------------------------------
-# Classic generational GA baseline
-
-
-def classic_ga_baseline(
-    problem,
-    config: EngineConfig,
-    mutation_rate: float = CLASSIC_MUTATION_RATE,
-) -> RunResult:
-    """Plain generational GA over the same problem bundle as `evolve`.
-
-    Fitness-proportionate parent selection (weights 1/objective), the
-    problem's own crossover and mutation operators, an elite of one
-    carried over unchanged, and no ring or trio structure.  Determined
-    entirely by ``config.seed``.
-    """
-    if config.max_pop < 3:
-        raise ValueError(f"max_pop must be at least 3, got {config.max_pop}")
-    if config.generations < 1:
-        raise ValueError(f"generations must be at least 1, got {config.generations}")
-
-    rng = np.random.default_rng(config.seed)
-    repair = getattr(problem, "repair", None)
-
-    def spawn_genome(genome):
-        if repair is not None:
-            genome = repair(genome, rng)
-        return Individual(genome, float(problem.objective(genome)))
-
-    members = [spawn_genome(problem.random_genome(rng)) for _ in range(config.max_pop)]
-    trace: list[tuple[int, float]] = []
-
-    for gen in range(1, config.generations + 1):
-        objectives = np.array([m.objective for m in members])
-        weights = 1.0 / np.maximum(objectives, 1e-12)
-        probs = weights / weights.sum()
-        elite = min(members, key=lambda m: m.objective)
-        nxt = [elite]
-        while len(nxt) < config.max_pop:
-            i, j = rng.choice(len(members), size=2, p=probs)
-            g1, g2 = problem.crossover(members[i].genome, members[j].genome, rng)
-            for g in (g1, g2):
-                if len(nxt) >= config.max_pop:
-                    break
-                if rng.random() < mutation_rate:
-                    g = problem.mutate(g, gen, config.schedule, rng)
-                if repair is not None:
-                    g = repair(g, rng)
-                nxt.append(Individual(g, float(problem.objective(g))))
-        members = nxt
-        trace.append((gen, min(m.objective for m in members)))
-
-    best = min(members, key=lambda m: m.objective)
-    return RunResult(
-        best_individual=best,
-        best_trace=tuple(trace),
-        seed=config.seed,
-        generations_run=config.generations,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Experiments
 
 
@@ -260,6 +195,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ]
 
     if cfg.jobs > 1 and cfg.runs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(
                 pool.map(_run_one, [problem] * cfg.runs, engine_cfgs, [cfg.algorithm] * cfg.runs)
@@ -283,11 +220,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     average = float(np.mean(bests))
     optimum = cfg.optimum
     if optimum is None and cfg.problem == "tsp":
-        optimum = KNOWN_OPTIMA.get(getattr(problem.instance, "name", ""))
+        optimum = KNOWN_OPTIMA.get((problem.instance.name, problem.instance.n))
     stats = BenchmarkStats(
         best=float(min(bests)),
         average=average,
-        error_percent=error_percent(average, optimum) if optimum else None,
+        optimum=optimum,
+        error_percent=error_percent(average, optimum) if optimum is not None else None,
         runs=cfg.runs,
     )
     return ExperimentReport(
@@ -321,11 +259,8 @@ def render_report(report: ExperimentReport, detail: bool = False) -> str:
         f"base_seed: {cfg.seed}",
     ]
     stats = report.stats
-    if stats.error_percent is not None:
-        optimum = cfg.optimum
-        if optimum is None:
-            optimum = KNOWN_OPTIMA.get(os.path.splitext(os.path.basename(cfg.instance or ""))[0])
-        lines.append(f"optimum: {optimum:g}")
+    if stats.optimum is not None:
+        lines.append(f"optimum: {stats.optimum:g}")
     lines += [
         f"best: {stats.best:.6f}",
         f"average: {stats.average:.6f}",
@@ -369,7 +304,7 @@ def _ligand_detail(report: ExperimentReport) -> list[str]:
             f"{t.side} {t.position} {t.code} {t.residue} {t.distance:.6f} {t.term:.6f}"
         )
     lines.append(f"total_energy: {energy.total:.6f}")
-    lines.append(f"fitness: {100.0 / energy.total:.6f}" if energy.total else "fitness: inf")
+    lines.append(f"fitness: {fitness(energy.total):.6f}")
     return lines
 
 
@@ -397,7 +332,7 @@ def _write_outputs(report: ExperimentReport, detail: bool) -> str:
             fh.write(text)
     if cfg.trace:
         best = min(report.results, key=lambda r: r.best_individual.objective)
-        fitness_k = 100.0 if cfg.problem.startswith("ligand") else None
+        fitness_k = DEFAULT_PARAMS.k if cfg.problem.startswith("ligand") else None
         emit_trace(best, cfg.trace, fitness_k=fitness_k)
     return text
 
@@ -414,6 +349,9 @@ def fetch_instances(names, base_url: str, dest_dir) -> list[str]:
     already exist and parse are skipped, so the command is idempotent.
     Returns the paths now present.
     """
+    import urllib.error
+    import urllib.request
+
     from .tsp import parse_tsplib
 
     os.makedirs(dest_dir, exist_ok=True)

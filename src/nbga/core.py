@@ -6,28 +6,30 @@ object exposing:
 ``random_genome(rng)``
     Draw a fresh random genome.
 ``objective(genome)``
-    Evaluate a genome; lower is better (the engine minimizes).
+    Evaluate a genome; lower is better (the engine minimizes).  A
+    non-finite value raises ``ValueError``.
 ``mutate(genome, gen, schedule, rng)``
     Produce a mutated copy; may adapt its breadth to the generation
     number through the :class:`MutationSchedule`.
 ``crossover(a, b, rng)``
     Produce two offspring genomes from two parents.
-``repair(genome, rng)`` *(optional attribute)*
-    Normalize a genome after generation/mutation/crossover.  Problems
-    whose operators already emit valid genomes can omit it or set it
-    to ``None``.
 
-One generation performs, in order: a greedy mutation sweep over every
-member (mutant replaces the original only when strictly better), a
-uniform shuffle of the population, ring construction over the shuffled
-order, a crossover of every consecutive pair, and a trio selection that
-fills slot ``i`` with the best of the left parent and its two sons.
-All randomness is drawn from a single seeded generator in that fixed
-order, so a run is fully reproducible from ``(config, seed)``.
+Operators must emit valid genomes; the engine never normalizes them.
+
+One generation of :func:`evolve` performs, in order: a greedy mutation
+sweep over every member (mutant replaces the original only when
+strictly better), a uniform shuffle of the population, ring
+construction over the shuffled order, a crossover of every consecutive
+pair, and a trio selection that fills slot ``i`` with the best of the
+left parent and its two sons.  All randomness is drawn from a single
+seeded generator in that fixed order, so a run is fully reproducible
+from ``(config, seed)``.  :func:`classic_ga_baseline` runs a plain
+generational GA over the same problem surface, for comparison.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -43,7 +45,11 @@ __all__ = [
     "trio_select",
     "greedy_mutation_step",
     "evolve",
+    "classic_ga_baseline",
 ]
+
+# chance that a classic-GA child is mutated after crossover
+CLASSIC_MUTATION_RATE = 0.25
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,14 @@ def trio_select(parent: Individual, son1: Individual, son2: Individual) -> Indiv
     return best
 
 
+def _scored(objective: Callable[[Any], float], genome: Any) -> float:
+    """``objective(genome)`` as a float; rejects NaN and infinities."""
+    value = float(objective(genome))
+    if not math.isfinite(value):
+        raise ValueError(f"objective returned {value}; objectives must be finite")
+    return value
+
+
 def greedy_mutation_step(
     member: Individual,
     problem: Any,
@@ -190,21 +204,28 @@ def greedy_mutation_step(
 ) -> Individual:
     """Mutate one member, keeping the mutant only when strictly better."""
     genome = problem.mutate(member.genome, gen, schedule, rng)
-    repair = getattr(problem, "repair", None)
-    if repair is not None:
-        genome = repair(genome, rng)
-    objective = float(problem.objective(genome))
+    objective = _scored(problem.objective, genome)
     if objective < member.objective:
         return Individual(genome, objective)
     return member
 
 
-def _spawn(problem: Any, rng: np.random.Generator) -> Individual:
-    genome = problem.random_genome(rng)
-    repair = getattr(problem, "repair", None)
-    if repair is not None:
-        genome = repair(genome, rng)
-    return Individual(genome, float(problem.objective(genome)))
+def _initial_population(
+    problem: Any, config: EngineConfig
+) -> tuple[np.random.Generator, list[Individual]]:
+    """Check ``config``, then seed the generator and spawn ``max_pop``
+    evaluated random members."""
+    if config.max_pop < 3:
+        raise ValueError(f"max_pop must be at least 3, got {config.max_pop}")
+    if config.generations < 1:
+        raise ValueError(f"generations must be at least 1, got {config.generations}")
+    rng = np.random.default_rng(config.seed)
+    objective = problem.objective
+    members = []
+    for _ in range(config.max_pop):
+        genome = problem.random_genome(rng)
+        members.append(Individual(genome, _scored(objective, genome)))
+    return rng, members
 
 
 def _population_best(members: list[Individual]) -> Individual:
@@ -213,6 +234,10 @@ def _population_best(members: list[Individual]) -> Individual:
         if ind.objective < best.objective:
             best = ind
     return best
+
+
+def _run_result(members: list[Individual], trace: list, config: EngineConfig) -> RunResult:
+    return RunResult(_population_best(members), tuple(trace), config.seed, config.generations)
 
 
 def evolve(
@@ -240,18 +265,11 @@ def evolve(
     RunResult
         Deterministic for a fixed ``(problem, config)``.
     """
-    if config.max_pop < 3:
-        raise ValueError(f"max_pop must be at least 3, got {config.max_pop}")
-    if config.generations < 1:
-        raise ValueError(f"generations must be at least 1, got {config.generations}")
-
-    rng = np.random.default_rng(config.seed)
-    members = [_spawn(problem, rng) for _ in range(config.max_pop)]
+    rng, members = _initial_population(problem, config)
     m = config.max_pop
     pairs = ring_pairs(list(range(m)))
     objective = problem.objective
     crossover = problem.crossover
-    repair = getattr(problem, "repair", None)
     trace: list[tuple[int, float]] = []
 
     for gen in range(1, config.generations + 1):
@@ -267,20 +285,45 @@ def evolve(
         nxt: list[Individual] = []
         for i, j in pairs:
             g1, g2 = crossover(parents[i].genome, parents[j].genome, rng)
-            if repair is not None:
-                g1 = repair(g1, rng)
-                g2 = repair(g2, rng)
-            son1 = Individual(g1, float(objective(g1)))
-            son2 = Individual(g2, float(objective(g2)))
+            son1 = Individual(g1, _scored(objective, g1))
+            son2 = Individual(g2, _scored(objective, g2))
             nxt.append(trio_select(parents[i], son1, son2))
         members = nxt
         trace.append((gen, _population_best(members).objective))
         if on_generation is not None:
             on_generation(gen, members)
 
-    return RunResult(
-        best_individual=_population_best(members),
-        best_trace=tuple(trace),
-        seed=config.seed,
-        generations_run=config.generations,
-    )
+    return _run_result(members, trace, config)
+
+
+def classic_ga_baseline(problem: Any, config: EngineConfig) -> RunResult:
+    """Plain generational GA over the same problem bundle as `evolve`.
+
+    Fitness-proportionate parent selection (weights 1/objective), the
+    problem's own crossover and mutation operators (mutation on a
+    ``CLASSIC_MUTATION_RATE`` share of children), an elite of one
+    carried over unchanged, and no ring or trio structure.  Determined
+    entirely by ``config.seed``.
+    """
+    rng, members = _initial_population(problem, config)
+    objective = problem.objective
+    trace: list[tuple[int, float]] = []
+
+    for gen in range(1, config.generations + 1):
+        objectives = np.array([m.objective for m in members])
+        weights = 1.0 / np.maximum(objectives, 1e-12)
+        probs = weights / weights.sum()
+        nxt = [_population_best(members)]
+        while len(nxt) < config.max_pop:
+            i, j = rng.choice(len(members), size=2, p=probs)
+            g1, g2 = problem.crossover(members[i].genome, members[j].genome, rng)
+            for g in (g1, g2):
+                if len(nxt) >= config.max_pop:
+                    break
+                if rng.random() < CLASSIC_MUTATION_RATE:
+                    g = problem.mutate(g, gen, config.schedule, rng)
+                nxt.append(Individual(g, _scored(objective, g)))
+        members = nxt
+        trace.append((gen, _population_best(members).objective))
+
+    return _run_result(members, trace, config)

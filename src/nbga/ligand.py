@@ -615,8 +615,8 @@ def layout(c: LigandChromosome, site: ActiveSite, dy: float = 1.0) -> tuple[Plac
 class EnergyParams:
     """Constants of the interaction-energy model.
 
-    ``vdw`` is evaluated as Cn·r⁻⁶ − Cm·r⁻¹²; set ``standard_lj`` to
-    flip to the usual repulsive-minus-attractive orientation.  A group
+    ``vdw`` is evaluated as Cn·r⁻⁶ − Cm·r⁻¹², attractive minus
+    repulsive (the reverse of the usual Lennard-Jones sign).  A group
     closer than ``r_min`` to its nearest residue costs the clash
     penalty; inside the [r_min, r_max] window it contributes vdw plus
     the mismatch penalty when group and residue polarity differ; past
@@ -632,7 +632,6 @@ class EnergyParams:
     mismatch_penalty: float = 5.0
     k: float = 100.0
     E_floor: float = 1e-6
-    standard_lj: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.r_min < self.r_max:
@@ -652,9 +651,7 @@ def vdw(r: float, params: EnergyParams = DEFAULT_PARAMS) -> float:
     """Pairwise Van der Waals potential at distance ``r``."""
     if r <= 0:
         raise ValueError(f"distance must be positive, got {r}")
-    attractive = params.Cn / r**6
-    repulsive = params.Cm / r**12
-    return repulsive - attractive if params.standard_lj else attractive - repulsive
+    return params.Cn / r**6 - params.Cm / r**12
 
 
 @dataclass(frozen=True)
@@ -784,7 +781,6 @@ class LigandProblem:
         self.dy = dy
         self.right_bounds = length_bounds(site.right_major_axis, RIGHT_TOPOLOGY.slots)
         self.left_bounds = length_bounds(site.left_major_axis, LEFT_TOPOLOGY.slots)
-        self.repair = None  # operators repair their own outputs
 
     def random_genome(self, rng: np.random.Generator) -> LigandChromosome:
         top = 7 if self.mode == "fixed" else 8

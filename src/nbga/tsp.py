@@ -21,7 +21,6 @@ __all__ = [
     "TspInstance",
     "BenchmarkStats",
     "TspProblem",
-    "euclid",
     "tour_cost",
     "parse_tsplib",
     "load_tsplib",
@@ -40,25 +39,18 @@ __all__ = [
 ]
 
 
-def euclid(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Euclidean distance between two 2-D points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 @dataclass(frozen=True)
 class TspInstance:
     """A symmetric TSP instance held as a full cost matrix.
 
     ``cost`` is an ``n x n`` symmetric matrix with zero diagonal;
     ``coords`` is kept when the instance came from city coordinates.
-    ``known_optimum`` is the published optimal tour length, when any.
     """
 
     name: str
     n: int
     cost: np.ndarray
     coords: np.ndarray | None = None
-    known_optimum: float | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cost, dtype=float)
@@ -75,13 +67,7 @@ class TspInstance:
         object.__setattr__(self, "cost", c)
 
     @classmethod
-    def from_coords(
-        cls,
-        name: str,
-        coords,
-        round_distances: bool = True,
-        known_optimum: float | None = None,
-    ) -> "TspInstance":
+    def from_coords(cls, name: str, coords, round_distances: bool = True) -> "TspInstance":
         """Build an instance from city coordinates.
 
         With ``round_distances`` each distance is rounded to the nearest
@@ -97,7 +83,7 @@ class TspInstance:
         if round_distances:
             dist = np.floor(dist + 0.5)  # TSPLIB nint()
         np.fill_diagonal(dist, 0.0)
-        return cls(name=name, n=len(pts), cost=dist, coords=pts, known_optimum=known_optimum)
+        return cls(name=name, n=len(pts), cost=dist, coords=pts)
 
 
 def tour_cost(tour: np.ndarray, instance: TspInstance) -> float:
@@ -267,13 +253,10 @@ def parse_tsplib(text: str, round_euclidean: bool = True) -> TspInstance:
     raise TsplibFormatError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
 
 
-def load_tsplib(path, round_euclidean: bool = True, known_optimum: float | None = None) -> TspInstance:
+def load_tsplib(path, round_euclidean: bool = True) -> TspInstance:
     """Parse a TSPLIB file from disk."""
     with open(path) as fh:
-        inst = parse_tsplib(fh.read(), round_euclidean=round_euclidean)
-    if known_optimum is not None:
-        inst = TspInstance(inst.name, inst.n, inst.cost, inst.coords, known_optimum)
-    return inst
+        return parse_tsplib(fh.read(), round_euclidean=round_euclidean)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +379,12 @@ def random_order_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Genera
 
 @dataclass(frozen=True)
 class BenchmarkStats:
-    """Best / average / error summary over a batch of runs."""
+    """Best / average / error summary over a batch of runs; ``optimum``
+    and ``error_percent`` are ``None`` when no optimum is known."""
 
     best: float
     average: float
+    optimum: float | None
     error_percent: float | None
     runs: int
 
@@ -437,29 +422,17 @@ def brute_force_optimum(instance: TspInstance) -> tuple[float, np.ndarray]:
 # Problem bundle
 
 
+# base mutations drawn from uniformly when a mutation call is not
+# promoted to a multilevel one
+MUTATION_OPERATORS = ("multiple_exchange", "inversion", "displacement")
+
+
 class TspProblem:
-    """Adapts a :class:`TspInstance` to the engine's problem surface.
+    """Adapts a :class:`TspInstance` to the engine's problem surface."""
 
-    ``operators`` names the base mutations drawn from uniformly when a
-    mutation call is not promoted to a multilevel one; any of
-    ``"multiple_exchange"``, ``"inversion"``, ``"displacement"``.
-    """
-
-    def __init__(
-        self,
-        instance: TspInstance,
-        operators: tuple[str, ...] = ("multiple_exchange", "inversion", "displacement"),
-    ):
-        known = {"multiple_exchange", "inversion", "displacement"}
-        bad = set(operators) - known
-        if bad:
-            raise ValueError(f"unknown operators: {sorted(bad)}")
-        if not operators:
-            raise ValueError("need at least one mutation operator")
+    def __init__(self, instance: TspInstance):
         self.instance = instance
         self.n = instance.n
-        self.operators = tuple(operators)
-        self.repair = None
 
     def random_genome(self, rng: np.random.Generator) -> np.ndarray:
         return rng.permutation(self.n)
@@ -481,7 +454,7 @@ class TspProblem:
         ):
             variant = MULTILEVEL_VARIANTS[int(rng.integers(len(MULTILEVEL_VARIANTS)))]
             return multilevel_mutation(tour, variant, rng)
-        op = self.operators[int(rng.integers(len(self.operators)))]
+        op = MUTATION_OPERATORS[int(rng.integers(len(MUTATION_OPERATORS)))]
         if op == "multiple_exchange":
             hi = hi_at(gen, self.n, schedule)
             ri = int(rng.integers(2, hi + 1))

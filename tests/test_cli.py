@@ -8,7 +8,6 @@ import pytest
 
 from nbga.cli import (
     ExperimentConfig,
-    classic_ga_baseline,
     config_from_sources,
     emit_trace,
     fetch_instances,
@@ -17,7 +16,13 @@ from nbga.cli import (
     render_report,
     run_experiment,
 )
-from nbga.core import EngineConfig, Individual, MutationSchedule, RunResult
+from nbga.core import (
+    EngineConfig,
+    Individual,
+    MutationSchedule,
+    RunResult,
+    classic_ga_baseline,
+)
 from nbga.tsp import TspProblem, error_percent
 from tests.conftest import hexagon_instance, hexagon_tsplib_text
 from tests.test_core import ConstantProblem
@@ -407,6 +412,31 @@ def test_main_rejects_cross_problem_configs(tmp_path, capsys):
     code = main(["solve-tsp", "--config", str(cfg)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _eil51_named_file(path, n):
+    """An ``n``-city EUC_2D file whose NAME claims to be eil51."""
+    coords = np.random.default_rng(7).uniform(0.0, 100.0, size=(n, 2))
+    lines = ["NAME : eil51", "TYPE : TSP", f"DIMENSION : {n}",
+             "EDGE_WEIGHT_TYPE : EUC_2D", "NODE_COORD_SECTION"]
+    lines += [f"{i} {x:.3f} {y:.3f}" for i, (x, y) in enumerate(coords, start=1)]
+    path.write_text("\n".join(lines) + "\nEOF\n")
+    return path
+
+
+def test_main_known_optimum_follows_name_and_dimension(tmp_path, capsys):
+    renamed = _eil51_named_file(tmp_path / "renamed.tsp", 51)
+    args = ["solve-tsp", "--pop", "8", "--generations", "3"]
+    assert main(args + ["--instance", str(renamed)]) == 0
+    out = capsys.readouterr().out
+    assert "optimum: 426\n" in out
+    assert "error_percent:" in out
+
+    small = _eil51_named_file(tmp_path / "eil51.tsp", 8)
+    assert main(args + ["--instance", str(small)]) == 0
+    out = capsys.readouterr().out
+    assert "optimum:" not in out
+    assert "error_percent:" not in out
 
 
 def test_main_missing_instance_file_fails_cleanly(capsys):

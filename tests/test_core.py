@@ -1,5 +1,8 @@
 """Engine unit tests: schedule arithmetic, ring topology, trio selection,
-greedy mutation acceptance, and the generation loop's invariants."""
+greedy mutation acceptance, the generation loop's invariants, and the
+rejection of non-finite objectives by both engine loops."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from nbga.core import (
     EngineConfig,
     Individual,
     MutationSchedule,
+    classic_ga_baseline,
     evolve,
     greedy_mutation_step,
     hi_at,
@@ -22,7 +26,6 @@ class ToyProblem:
 
     def __init__(self, n=6):
         self.n = n
-        self.repair = None
 
     def random_genome(self, rng):
         return rng.integers(0, 10, size=self.n)
@@ -194,7 +197,6 @@ class _FixedMutationProblem:
 
     def __init__(self, proposal):
         self.proposal = proposal
-        self.repair = None
 
     def objective(self, genome):
         return float(genome)
@@ -226,13 +228,13 @@ def test_greedy_step_rejects_worse_proposal():
     assert greedy_mutation_step(member, problem, 1, MutationSchedule(), rng) is member
 
 
-def test_greedy_step_applies_repair_hook():
-    problem = _FixedMutationProblem(proposal=-4.0)
-    problem.repair = lambda genome, rng: abs(genome)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_greedy_step_rejects_non_finite_proposal(bad):
+    problem = _FixedMutationProblem(proposal=bad)
     member = Individual(genome=5.0, objective=5.0)
     rng = np.random.default_rng(0)
-    out = greedy_mutation_step(member, problem, 1, MutationSchedule(), rng)
-    assert out.genome == 4.0
+    with pytest.raises(ValueError, match="finite"):
+        greedy_mutation_step(member, problem, 1, MutationSchedule(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +318,40 @@ def test_evolve_callback_population_minimum_matches_trace():
 def test_evolve_constant_objective_gives_flat_trace():
     result = evolve(ConstantProblem(), _config(generations=15))
     assert {v for _, v in result.best_trace} == {7.5}
+
+
+class _PoisonedProblem(ToyProblem):
+    """Spawns finite members; any genome holding a 0, which only a
+    mutation can write, scores ``bad``."""
+
+    def __init__(self, bad, n=6):
+        super().__init__(n)
+        self.bad = bad
+
+    def random_genome(self, rng):
+        return rng.integers(1, 10, size=self.n)
+
+    def objective(self, genome):
+        return self.bad if 0 in genome else float(genome.sum())
+
+
+class _BadProblem(ToyProblem):
+    """Every genome scores ``bad``, so the initial population fails."""
+
+    def __init__(self, bad, n=6):
+        super().__init__(n)
+        self.bad = bad
+
+    def objective(self, genome):
+        return self.bad
+
+
+@pytest.mark.parametrize("engine", [evolve, classic_ga_baseline])
+@pytest.mark.parametrize("problem_cls", [_BadProblem, _PoisonedProblem])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_engines_reject_non_finite_objectives(engine, problem_cls, bad):
+    with pytest.raises(ValueError, match="finite"):
+        engine(problem_cls(bad), _config())
 
 
 def test_evolve_solves_rounded_hexagon(hexagon):

@@ -495,12 +495,9 @@ def test_vdw_balances_exactly_at_unit_distance():
     assert vdw(1.5) == pytest.approx(0.08008414856964366, rel=1e-12)
 
 
-def test_vdw_orientation_flag_flips_sign():
+def test_vdw_scales_with_cn():
     from nbga.ligand import vdw
 
-    assert vdw(1.5, EnergyParams(standard_lj=True)) == pytest.approx(
-        -0.08008414856964366, rel=1e-12
-    )
     assert vdw(1.0, EnergyParams(Cn=2.0)) == pytest.approx(1.0)
 
 

@@ -12,7 +12,6 @@ from nbga.tsp import (
     brute_force_optimum,
     displacement_mutation,
     error_percent,
-    euclid,
     load_tsplib,
     multilevel_mutation,
     multiple_exchange_mutation,
@@ -66,11 +65,6 @@ def matrix_text(weight_format: str, rows: str, dimension: int = 3, extra: str = 
 
 # ---------------------------------------------------------------------------
 # Distances and instances
-
-
-def test_euclid_pythagorean_triples():
-    assert euclid((0.0, 0.0), (3.0, 4.0)) == 5.0
-    assert euclid((1.0, 1.0), (4.0, 5.0)) == 5.0
 
 
 def test_from_coords_rounds_to_nearest_integer():
@@ -202,12 +196,11 @@ def test_parse_rejects_asymmetric_full_matrix():
         parse_tsplib(matrix_text("FULL_MATRIX", "0 1 2\n9 0 3\n2 3 0"))
 
 
-def test_load_tsplib_reads_file_and_attaches_optimum(tmp_path):
+def test_load_tsplib_reads_file(tmp_path):
     path = tmp_path / "triangle.tsp"
     path.write_text(triangle_text())
-    inst = load_tsplib(path, known_optimum=18)
+    inst = load_tsplib(path)
     assert inst.n == 3
-    assert inst.known_optimum == 18
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +377,6 @@ def test_brute_force_refuses_large_instances():
 
 # ---------------------------------------------------------------------------
 # Problem bundle
-
-
-def test_problem_rejects_unknown_operator(hexagon):
-    with pytest.raises(ValueError, match="unknown operators"):
-        TspProblem(hexagon, operators=("multiple_exchange", "two_opt"))
-    with pytest.raises(ValueError, match="at least one"):
-        TspProblem(hexagon, operators=())
 
 
 def test_problem_objective_matches_tour_cost(hexagon):
