@@ -15,11 +15,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 import numpy as np
 
 from .core import EngineConfig, MutationSchedule, RunResult, classic_ga_baseline, evolve
-from .ligand import DEFAULT_PARAMS, LigandProblem, fitness, load_site
+from .ligand import LigandProblem, load_site
 from .tsp import BenchmarkStats, TspProblem, error_percent, load_tsplib
 
 __all__ = [
@@ -95,15 +96,17 @@ class RunSummary:
 class ExperimentReport:
     """All runs of one experiment plus aggregate statistics.
 
-    ``wall_clock`` (seconds per run) is diagnostic only and is never
-    written into report files, which must be reproducible byte for
-    byte.
+    ``problem`` is the bundle the runs optimized; the ligand report
+    detail scores with it.  ``wall_clock`` (seconds per run) is
+    diagnostic only and is never written into report files, which must
+    be reproducible byte for byte.
     """
 
     config: ExperimentConfig
     summaries: tuple[RunSummary, ...]
     stats: BenchmarkStats
     results: tuple[RunResult, ...] = field(repr=False)
+    problem: Any = field(repr=False)
     wall_clock: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -229,7 +232,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         runs=cfg.runs,
     )
     return ExperimentReport(
-        config=cfg, summaries=summaries, stats=stats, results=results, wall_clock=clocks
+        config=cfg,
+        summaries=summaries,
+        stats=stats,
+        results=results,
+        problem=problem,
+        wall_clock=clocks,
     )
 
 
@@ -281,12 +289,12 @@ def render_report(report: ExperimentReport, detail: bool = False) -> str:
 
 
 def _ligand_detail(report: ExperimentReport) -> list[str]:
-    from .ligand import CATALOGUE, interaction_energy, layout, load_site
+    from .ligand import CATALOGUE, interaction_energy, layout
 
+    problem = report.problem
     best = min(report.results, key=lambda r: r.best_individual.objective)
     chromo = best.best_individual.genome
-    site = load_site(report.config.site)
-    energy = interaction_energy(chromo, site)
+    energy = interaction_energy(chromo, problem.site, problem.params, problem.dy)
     lines = [
         "best_run_seed: %d" % best.seed,
         "right: " + " ".join(str(v) for v in chromo.right),
@@ -294,7 +302,7 @@ def _ligand_detail(report: ExperimentReport) -> list[str]:
         "placements:",
         "side pos code name x y",
     ]
-    for p in layout(chromo, site):
+    for p in layout(chromo, problem.site, problem.dy):
         lines.append(
             f"{p.side} {p.position} {p.code} {CATALOGUE[p.code].name} {p.x:.6f} {p.y:.6f}"
         )
@@ -304,7 +312,7 @@ def _ligand_detail(report: ExperimentReport) -> list[str]:
             f"{t.side} {t.position} {t.code} {t.residue} {t.distance:.6f} {t.term:.6f}"
         )
     lines.append(f"total_energy: {energy.total:.6f}")
-    lines.append(f"fitness: {fitness(energy.total):.6f}")
+    lines.append(f"fitness: {problem.fitness_of(energy.total):.6f}")
     return lines
 
 
@@ -332,7 +340,7 @@ def _write_outputs(report: ExperimentReport, detail: bool) -> str:
             fh.write(text)
     if cfg.trace:
         best = min(report.results, key=lambda r: r.best_individual.objective)
-        fitness_k = DEFAULT_PARAMS.k if cfg.problem.startswith("ligand") else None
+        fitness_k = report.problem.params.k if cfg.problem.startswith("ligand") else None
         emit_trace(best, cfg.trace, fitness_k=fitness_k)
     return text
 

@@ -313,9 +313,13 @@ def classic_ga_baseline(problem: Any, config: EngineConfig) -> RunResult:
         objectives = np.array([m.objective for m in members])
         weights = 1.0 / np.maximum(objectives, 1e-12)
         probs = weights / weights.sum()
+        # the inverse-CDF search rng.choice(m, size=2, p=probs) makes,
+        # with the CDF built once per generation: the same draws
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
         nxt = [_population_best(members)]
         while len(nxt) < config.max_pop:
-            i, j = rng.choice(len(members), size=2, p=probs)
+            i, j = cdf.searchsorted(rng.random(2), side="right")
             g1, g2 = problem.crossover(members[i].genome, members[j].genome, rng)
             for g in (g1, g2):
                 if len(nxt) >= config.max_pop:

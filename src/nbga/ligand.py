@@ -23,6 +23,14 @@ Length bounds
 ``correct`` repairs arbitrary code arrays into valid chromosomes and is
 applied after every generation/mutation/crossover step, so the engine
 only ever evaluates valid candidates.
+
+Energy has two paths over one arithmetic.  :func:`interaction_energy`
+lays out the whole ligand and reports every group's term.
+:meth:`LigandProblem.objective`, the engine's hot path, adds per-slot
+terms from a table each problem fills lazily: a slot's term depends
+only on the codes on its root path, so it is computed once per path,
+by the same layout and nearest-residue code, and then looked up.  The
+two totals are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -66,7 +74,6 @@ __all__ = [
     "layout",
     "vdw",
     "interaction_energy",
-    "interaction_total",
     "fitness",
     "parse_site",
     "load_site",
@@ -107,9 +114,6 @@ _POLAR_SET = frozenset(POLAR_CODES)
 
 # deterministic polar -> non-polar substitution used by C1 repair
 _POLAR_REMAP = {3: 1, 4: 2, 7: 6, 5: 1}
-
-MAX_BOND_LENGTH = max(g.bond_length_x for g in CATALOGUE.values() if g.bond_length_x)
-MIN_BOND_LENGTH = min(g.bond_length_x for g in CATALOGUE.values() if g.bond_length_x)
 
 
 # ---------------------------------------------------------------------------
@@ -726,24 +730,55 @@ def interaction_energy(
     return EnergyReport(total=max(total, params.E_floor), terms=tuple(terms))
 
 
-def interaction_total(
-    c: LigandChromosome,
-    site: ActiveSite,
-    params: EnergyParams = DEFAULT_PARAMS,
-    dy: float = 1.0,
-) -> float:
-    """Total of :func:`interaction_energy` without the per-group report.
+class _SlotTerms:
+    """Energy terms of one side's slots, filled on first use.
 
-    Same arithmetic in the same order, so the value is identical; this
-    is the engine's hot path.
+    A slot's position, and so its term, depends only on the codes on
+    its root path.  ``rows[i]`` holds slot ``i``'s term for every such
+    path, keyed by the path's codes as radix-8 digits (``code - 1``,
+    root first): 8**depth entries, ``None`` until first looked up.  An
+    entry is computed by :func:`_layout_side` and :func:`_group_terms`
+    on the path's codes alone, the arithmetic of
+    :func:`interaction_energy`.  Keys of an occupied slot under a NUL
+    are never stored: their fill raises ``ValueError`` on every lookup.
     """
-    rows = _placed_rows(c, site, dy)
-    if not rows:
-        raise ValueError("chromosome places no groups")
-    total = 0.0
-    for _, _, _, term in _group_terms(rows, site, params):
-        total += term
-    return max(total, params.E_floor)
+
+    def __init__(self, side, topo, anchor, direction, site, params, dy):
+        self.side = side
+        self.topo = topo
+        self.anchor = anchor
+        self.direction = direction
+        self.site = site
+        self.params = params
+        self.dy = dy
+        self.rows = [[None] * 8**depth for depth in topo.depths]
+
+    def add(self, codes, total: float) -> float:
+        """``total`` plus the terms of the occupied slots, in slot order."""
+        parents = self.topo.parents
+        rows = self.rows
+        keys = [0] * (len(codes) + 1)  # keys[-1] stays 0: the anchor's key
+        for i, code in enumerate(codes):
+            key = keys[i] = keys[parents[i]] * 8 + code - 1
+            if code != NUL:
+                term = rows[i][key]
+                if term is None:
+                    term = self._fill(i, key, codes)
+                total += term
+        return total
+
+    def _fill(self, i: int, key: int, codes) -> float:
+        topo = self.topo
+        path = {i}
+        a = topo.parents[i]
+        while a >= 0:
+            path.add(a)
+            a = topo.parents[a]
+        masked = [codes[s] if s in path else NUL for s in range(topo.slots)]
+        row = _layout_side(masked, topo, self.anchor, self.direction, self.dy)[-1]
+        ((_, _, _, term),) = _group_terms([(self.side, *row)], self.site, self.params)
+        self.rows[i][key] = term
+        return term
 
 
 def fitness(E: float, params: EnergyParams = DEFAULT_PARAMS) -> float:
@@ -781,6 +816,10 @@ class LigandProblem:
         self.dy = dy
         self.right_bounds = length_bounds(site.right_major_axis, RIGHT_TOPOLOGY.slots)
         self.left_bounds = length_bounds(site.left_major_axis, LEFT_TOPOLOGY.slots)
+        self._right_terms = _SlotTerms(
+            "right", RIGHT_TOPOLOGY, site.right_anchor, +1, site, params, dy
+        )
+        self._left_terms = _SlotTerms("left", LEFT_TOPOLOGY, site.left_anchor, -1, site, params, dy)
 
     def random_genome(self, rng: np.random.Generator) -> LigandChromosome:
         top = 7 if self.mode == "fixed" else 8
@@ -794,7 +833,16 @@ class LigandProblem:
         )
 
     def objective(self, c: LigandChromosome) -> float:
-        return interaction_total(c, self.site, self.params, self.dy)
+        """``interaction_energy(c, site, params, dy).total``, bit for bit.
+
+        Adds the table's terms right side then left, in slot order, and
+        clamps at ``E_floor``: the same floats summed in the same order
+        as the report path.
+        """
+        total = self._left_terms.add(c.left, self._right_terms.add(c.right, 0.0))
+        if c.right[0] == NUL and c.left[0] == NUL:
+            raise ValueError("chromosome places no groups")
+        return max(total, self.params.E_floor)
 
     def fitness_of(self, energy: float) -> float:
         return fitness(energy, self.params)

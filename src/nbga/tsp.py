@@ -348,21 +348,27 @@ def order_crossover(p1: np.ndarray, p2: np.ndarray, cut1: int, cut2: int) -> tup
 
     Each child keeps one parent's segment and receives the remaining
     cities in the other parent's order, filling slots cyclically from
-    just past the segment.
+    just past the segment.  City labels are non-negative integers.
     """
     n = len(p1)
     if len(p2) != n:
         raise ValueError("parents must have equal length")
     if not 0 <= cut1 < cut2 < n:
         raise ValueError(f"need 0 <= cut1 < cut2 < {n}, got {cut1}, {cut2}")
+    if np.minimum(p1, p2).min() < 0:
+        raise ValueError("city labels must be non-negative")
+    labels = int(np.maximum(p1, p2).max()) + 1
+    # slot order of the fill: cyclically from just past the segment;
+    # its first n - len(segment) slots are the ones outside it
+    ring = np.arange(cut2 + 1, cut2 + 1 + n) % n
+    free = ring[: n - (cut2 + 1 - cut1)]
 
     def make(keep: np.ndarray, donor: np.ndarray) -> np.ndarray:
-        child = np.empty(n, dtype=keep.dtype)
-        child[cut1 : cut2 + 1] = keep[cut1 : cut2 + 1]
-        kept = set(int(v) for v in keep[cut1 : cut2 + 1])
-        fill = [v for k in range(n) if int(v := donor[(cut2 + 1 + k) % n]) not in kept]
-        for offset, v in enumerate(fill):
-            child[(cut2 + 1 + offset) % n] = v
+        kept = np.zeros(labels, dtype=bool)
+        kept[keep[cut1 : cut2 + 1]] = True
+        fill = donor[ring]
+        child = keep.copy()
+        child[free] = fill[~kept[fill]]
         return child
 
     return make(p1, p2), make(p2, p1)

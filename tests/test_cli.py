@@ -192,6 +192,13 @@ def test_run_experiment_parallel_runs_match_sequential(hexagon_file):
     assert render_report(sequential) == render_report(parallel)
 
 
+def test_run_experiment_parallel_ligand_runs_match_sequential():
+    # the problem, with its energy table, is pickled to the workers
+    sequential = run_experiment(ligand_config(runs=2, jobs=1))
+    parallel = run_experiment(ligand_config(runs=2, jobs=2))
+    assert render_report(sequential, detail=True) == render_report(parallel, detail=True)
+
+
 def test_run_experiment_ligand_reports_fitness():
     report = run_experiment(ligand_config())
     summary = report.summaries[0]

@@ -28,7 +28,6 @@ from nbga.ligand import (
     fitness,
     group_mutation,
     interaction_energy,
-    interaction_total,
     layout,
     length_bounds,
     load_site,
@@ -599,11 +598,10 @@ def test_energy_is_translation_invariant(small_site):
     )
     rng = np.random.default_rng(5)
     problem = LigandProblem(small_site)
+    moved = LigandProblem(shifted)
     for _ in range(25):
         c = problem.random_genome(rng)
-        assert interaction_total(c, shifted) == pytest.approx(
-            interaction_total(c, small_site), rel=1e-12
-        )
+        assert moved.objective(c) == pytest.approx(problem.objective(c), rel=1e-12)
 
 
 def test_energy_total_matches_report_total(small_site):
@@ -611,7 +609,7 @@ def test_energy_total_matches_report_total(small_site):
     problem = LigandProblem(small_site)
     for _ in range(200):
         c = problem.random_genome(rng)
-        assert interaction_total(c, small_site) == interaction_energy(c, small_site).total
+        assert problem.objective(c) == interaction_energy(c, small_site).total
 
 
 def test_energy_requires_at_least_one_group(small_site):
@@ -689,6 +687,44 @@ def test_problem_objective_is_the_interaction_energy(small_site):
     c = problem.random_genome(rng)
     assert problem.objective(c) == interaction_energy(c, small_site).total
     assert problem.fitness_of(4.0) == pytest.approx(25.0)
+
+
+def _bred_genomes(problem, rng, count):
+    """``count`` genomes: random ones, then mutate/crossover chains from them."""
+    schedule = MutationSchedule.for_dimension(17, 100)
+    genomes = [problem.random_genome(rng) for _ in range(count // 3)]
+    k = 0
+    while len(genomes) < count:
+        a, b = genomes[k], genomes[(7 * k + 1) % len(genomes)]
+        genomes.append(problem.mutate(a, 1 + k % 100, schedule, rng))
+        genomes.extend(problem.crossover(a, b, rng))
+        k += 1
+    return genomes[:count]
+
+
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+def test_problem_objective_equals_report_total_bit_for_bit(mode, small_site):
+    sample = load_site(importlib.resources.files("nbga") / "data" / "sample_site.txt")
+    odd = EnergyParams(Cn=2.0, Cm=0.5, r_min=0.5, r_max=3.1, clash_penalty=7.0,
+                       mismatch_penalty=3.0, E_floor=1e-4)
+    rng = np.random.default_rng(41)
+    for site, params, dy in ((sample, EnergyParams(), 1.0), (sample, odd, 0.8),
+                             (small_site, odd, 1.3)):
+        problem = LigandProblem(site, mode, params, dy)
+        for c in _bred_genomes(problem, rng, 700):
+            assert problem.objective(c) == interaction_energy(c, site, params, dy).total
+
+
+def test_problem_objective_rejects_invalid_chromosomes(small_site):
+    problem = LigandProblem(small_site)
+    dead_parent = LigandChromosome((1, 8, 8, 1, 8, 8, 8, 8, 8, 8), ALL_NUL_LEFT)
+    dead_root = LigandChromosome((8, 1) + (8,) * 8, ALL_NUL_LEFT)
+    for _ in range(2):  # an invalid key is never stored, so it raises every time
+        for c in (dead_parent, dead_root):
+            with pytest.raises(ValueError, match="occupied under an empty slot"):
+                problem.objective(c)
+        with pytest.raises(ValueError, match="places no groups"):
+            problem.objective(LigandChromosome((8,) * 10, ALL_NUL_LEFT))
 
 
 def test_problem_crossover_children_are_valid(small_site):

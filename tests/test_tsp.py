@@ -317,6 +317,45 @@ def test_order_crossover_fills_cyclically_from_past_the_cut():
     assert c2.tolist() == [4, 5, 6, 8, 7, 1, 2, 3]
 
 
+def _loop_order_crossover(p1, p2, cut1, cut2):
+    """Reference OX, one city at a time."""
+    n = len(p1)
+
+    def make(keep, donor):
+        child = np.empty(n, dtype=keep.dtype)
+        child[cut1 : cut2 + 1] = keep[cut1 : cut2 + 1]
+        kept = set(int(v) for v in keep[cut1 : cut2 + 1])
+        fill = [v for k in range(n) if int(v := donor[(cut2 + 1 + k) % n]) not in kept]
+        for offset, v in enumerate(fill):
+            child[(cut2 + 1 + offset) % n] = v
+        return child
+
+    return make(p1, p2), make(p2, p1)
+
+
+def test_order_crossover_matches_the_loop_reference():
+    rng = np.random.default_rng(13)
+    for _ in range(3000):
+        n = int(rng.integers(3, 40))
+        p1 = rng.permutation(n) + int(rng.integers(0, 3))  # labels need not start at 0
+        p2 = rng.permutation(p1)
+        cut1, cut2 = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        got = order_crossover(p1, p2, cut1, cut2)
+        want = _loop_order_crossover(p1, p2, cut1, cut2)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    p1, p2 = np.array([0, 1, 2]), np.array([2, 0, 1])
+    for cut1, cut2 in ((0, 1), (0, 2), (1, 2)):
+        got = order_crossover(p1, p2, cut1, cut2)
+        want = _loop_order_crossover(p1, p2, cut1, cut2)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
+def test_order_crossover_rejects_negative_labels():
+    with pytest.raises(ValueError, match="non-negative"):
+        order_crossover(np.array([-1, 0, 1]), np.array([1, 0, -1]), 0, 1)
+
+
 def test_order_crossover_rejects_bad_cuts():
     p1 = np.arange(1, 9)
     p2 = np.arange(1, 9)[::-1].copy()
