@@ -10,10 +10,8 @@ from .core import (
     Individual,
     MutationSchedule,
     RunResult,
+    classic_ga_baseline,
     evolve,
-    hi_at,
-    ring_pairs,
-    trio_select,
 )
 from .ligand import (
     CATALOGUE,
@@ -30,7 +28,6 @@ from .ligand import (
     validate_chromosome,
 )
 from .tsp import (
-    BenchmarkStats,
     TspInstance,
     TspProblem,
     brute_force_optimum,
@@ -46,10 +43,7 @@ __all__ = [
     "MutationSchedule",
     "RunResult",
     "evolve",
-    "hi_at",
-    "ring_pairs",
-    "trio_select",
-    "BenchmarkStats",
+    "classic_ga_baseline",
     "TspInstance",
     "TspProblem",
     "brute_force_optimum",

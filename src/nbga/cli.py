@@ -15,16 +15,17 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .core import EngineConfig, MutationSchedule, RunResult, classic_ga_baseline, evolve
 from .ligand import LigandProblem, load_site
-from .tsp import BenchmarkStats, TspProblem, error_percent, load_tsplib
+from .tsp import TspProblem, error_percent, load_tsplib
 
 __all__ = [
     "ExperimentConfig",
+    "BenchmarkStats",
     "ExperimentReport",
     "RunSummary",
     "run_experiment",
@@ -93,13 +94,27 @@ class RunSummary:
 
 
 @dataclass(frozen=True)
+class BenchmarkStats:
+    """Best / average / error summary over a batch of runs; ``optimum``
+    and ``error_percent`` are ``None`` when no optimum is known."""
+
+    best: float
+    average: float
+    optimum: float | None
+    error_percent: float | None
+    runs: int
+
+
+@dataclass(frozen=True)
 class ExperimentReport:
     """All runs of one experiment plus aggregate statistics.
 
     ``problem`` is the bundle the runs optimized; the ligand report
-    detail scores with it.  ``wall_clock`` (seconds per run) is
-    diagnostic only and is never written into report files, which must
-    be reproducible byte for byte.
+    detail scores with it.  ``fitness_of`` maps an objective to the
+    reported fitness (``None`` when the problem reports none).
+    ``wall_clock`` (seconds per run) is diagnostic only and is never
+    written into report files, which must be reproducible byte for
+    byte.
     """
 
     config: ExperimentConfig
@@ -107,6 +122,7 @@ class ExperimentReport:
     stats: BenchmarkStats
     results: tuple[RunResult, ...] = field(repr=False)
     problem: Any = field(repr=False)
+    fitness_of: Callable[[float], float] | None = field(repr=False)
     wall_clock: tuple[float, ...] = field(repr=False, default=())
 
 
@@ -153,16 +169,15 @@ def config_from_sources(file_values: dict[str, str], flag_values: dict) -> Exper
 
 
 def _build_problem(cfg: ExperimentConfig):
+    """The problem, its genome dimension and its fitness function
+    (``None`` for TSP, which reports no fitness)."""
     if cfg.problem == "tsp":
         instance = load_tsplib(cfg.instance)
-        problem = TspProblem(instance)
-        dimension = instance.n
-    else:
-        site = load_site(cfg.site)
-        mode = "fixed" if cfg.problem == "ligand-fixed" else "variable"
-        problem = LigandProblem(site, mode=mode)
-        dimension = 17
-    return problem, dimension
+        return TspProblem(instance), instance.n, None
+    site = load_site(cfg.site)
+    mode = "fixed" if cfg.problem == "ligand-fixed" else "variable"
+    problem = LigandProblem(site, mode=mode)
+    return problem, 17, problem.fitness_of
 
 
 def _effective_generations(cfg: ExperimentConfig) -> int:
@@ -187,7 +202,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     execute in parallel processes; the report is always ordered by
     seed, so the output does not depend on scheduling.
     """
-    problem, dimension = _build_problem(cfg)
+    problem, dimension, fitness_of = _build_problem(cfg)
     generations = _effective_generations(cfg)
     schedule = MutationSchedule.for_dimension(dimension, generations)
     engine_cfgs = [
@@ -210,7 +225,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     results = tuple(r for r, _ in outcomes)
     clocks = tuple(t for _, t in outcomes)
 
-    fitness_of = getattr(problem, "fitness_of", None)
     summaries = tuple(
         RunSummary(
             seed=r.seed,
@@ -237,6 +251,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         stats=stats,
         results=results,
         problem=problem,
+        fitness_of=fitness_of,
         wall_clock=clocks,
     )
 
@@ -312,7 +327,7 @@ def _ligand_detail(report: ExperimentReport) -> list[str]:
             f"{t.side} {t.position} {t.code} {t.residue} {t.distance:.6f} {t.term:.6f}"
         )
     lines.append(f"total_energy: {energy.total:.6f}")
-    lines.append(f"fitness: {problem.fitness_of(energy.total):.6f}")
+    lines.append(f"fitness: {report.fitness_of(energy.total):.6f}")
     return lines
 
 
@@ -323,13 +338,15 @@ def emit_trace(result: RunResult, path, fitness_k: float | None = None) -> None:
     is ``k / best_objective`` when ``fitness_k`` is given (ligand) and
     empty otherwise (TSP).
     """
+    _write_trace(result, path, None if fitness_k is None else lambda best: fitness_k / best)
+
+
+def _write_trace(result: RunResult, path, fitness_of) -> None:
     with open(path, "w") as fh:
         fh.write("generation,best_objective,fitness\n")
         for gen, best in result.best_trace:
-            if fitness_k is None:
-                fh.write(f"{gen},{best:.6f},\n")
-            else:
-                fh.write(f"{gen},{best:.6f},{fitness_k / best:.6f}\n")
+            column = "" if fitness_of is None else f"{fitness_of(best):.6f}"
+            fh.write(f"{gen},{best:.6f},{column}\n")
 
 
 def _write_outputs(report: ExperimentReport, detail: bool) -> str:
@@ -340,8 +357,7 @@ def _write_outputs(report: ExperimentReport, detail: bool) -> str:
             fh.write(text)
     if cfg.trace:
         best = min(report.results, key=lambda r: r.best_individual.objective)
-        fitness_k = report.problem.params.k if cfg.problem.startswith("ligand") else None
-        emit_trace(best, cfg.trace, fitness_k=fitness_k)
+        _write_trace(best, cfg.trace, report.fitness_of)
     return text
 
 

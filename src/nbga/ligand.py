@@ -16,13 +16,16 @@ C1 (polarity)
     below it is NUL.
 C2 (connectivity)
     No internal slot is NUL while any slot below it is occupied.
-Length bounds
-    Each side carries at least ``l_min`` occupied slots, where l_min is
-    derived from the active site's major axis and the longest bond.
+Length bound
+    In variable mode each side carries at least ``l_min`` occupied
+    slots, the fewest groups of the longest bond that span the active
+    site's major axis on that side (:func:`length_bounds`).  Nothing
+    caps the count from above: a side may fill all its slots.
 
-``correct`` repairs arbitrary code arrays into valid chromosomes and is
-applied after every generation/mutation/crossover step, so the engine
-only ever evaluates valid candidates.
+``correct`` is the one place validity is established.  It repairs
+arbitrary codes into a valid chromosome by construction and is applied
+after every generation/mutation/crossover step, so the engine only ever
+evaluates valid candidates.
 
 Energy has two paths over one arithmetic.  :func:`interaction_energy`
 lays out the whole ligand and reports every group's term.
@@ -58,7 +61,6 @@ __all__ = [
     "RIGHT_TOPOLOGY",
     "LEFT_TOPOLOGY",
     "LigandChromosome",
-    "LengthBounds",
     "Residue",
     "ActiveSite",
     "EnergyParams",
@@ -127,7 +129,7 @@ class TreeTopology:
     ``parents[i]`` is the slot index feeding slot ``i`` (-1 for the
     root, which hangs off the side's anchor).  ``backbone`` lists the
     internal slots — exactly the slots that have children; every other
-    slot is a leaf.  Derived tables (children, transitive descendants,
+    slot is a leaf.  Derived tables (transitive descendants, depths,
     per-slot y offsets, and the deepest-first leaf fill order) are
     computed once at construction.
     """
@@ -135,7 +137,6 @@ class TreeTopology:
     name: str
     parents: tuple[int, ...]
     backbone: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     descendants: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     depths: tuple[int, ...] = field(init=False, repr=False)
     y_steps: tuple[int, ...] = field(init=False, repr=False)
@@ -180,7 +181,6 @@ class TreeTopology:
         leaves = [i for i in range(n) if not kids[i]]
         leaves.sort(key=lambda i: (-depths[i], i))
 
-        object.__setattr__(self, "children", tuple(tuple(k) for k in kids))
         object.__setattr__(self, "descendants", tuple(tuple(sorted(d)) for d in desc))
         object.__setattr__(self, "depths", tuple(depths))
         object.__setattr__(self, "y_steps", tuple(steps))
@@ -209,21 +209,26 @@ LEFT_TOPOLOGY = TreeTopology(
 
 @dataclass(frozen=True)
 class LigandChromosome:
-    """Group codes for both sides: 10 right slots and 7 left slots."""
+    """Group codes for both sides: 10 right slots and 7 left slots,
+    each stored as a tuple of Python ``int`` codes in 1..8 (NumPy input
+    is converted).  C1, C2 and the length bound are :func:`correct`'s
+    job."""
 
     right: tuple[int, ...]
     left: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.right) != RIGHT_TOPOLOGY.slots:
+        right = tuple(map(int, self.right))
+        left = tuple(map(int, self.left))
+        if len(right) != RIGHT_TOPOLOGY.slots:
             raise ValueError(f"right side needs {RIGHT_TOPOLOGY.slots} codes")
-        if len(self.left) != LEFT_TOPOLOGY.slots:
+        if len(left) != LEFT_TOPOLOGY.slots:
             raise ValueError(f"left side needs {LEFT_TOPOLOGY.slots} codes")
-        for v in self.right + self.left:
-            if not 1 <= int(v) <= 8:
+        for v in right + left:
+            if not 1 <= v <= NUL:
                 raise ValueError(f"illegal group code {v}")
-        object.__setattr__(self, "right", tuple(int(v) for v in self.right))
-        object.__setattr__(self, "left", tuple(int(v) for v in self.left))
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left", left)
 
     def as_array(self) -> np.ndarray:
         """Both sides concatenated (right then left) as an int array."""
@@ -232,50 +237,46 @@ class LigandChromosome:
     @classmethod
     def from_array(cls, codes: np.ndarray) -> "LigandChromosome":
         r = RIGHT_TOPOLOGY.slots
-        return cls(tuple(int(v) for v in codes[:r]), tuple(int(v) for v in codes[r:]))
+        return cls(codes[:r], codes[r:])
 
 
-@dataclass(frozen=True)
-class LengthBounds:
-    """Occupied-slot count limits for one side."""
+def length_bounds(major_axis: float, slots: int) -> int:
+    """The minimum occupied-slot count ``l_min`` of a side whose pocket
+    axis is ``major_axis`` long.
 
-    l_min: int
-    l_max: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.l_min <= self.l_max:
-            raise ValueError(f"need 0 < l_min <= l_max, got {self.l_min}, {self.l_max}")
-
-
-def length_bounds(major_axis: float, slots: int, catalogue=CATALOGUE) -> LengthBounds:
-    """Occupancy bounds implied by a pocket's major-axis length.
-
-    The minimum count assumes every group contributes the longest bond;
-    the maximum assumes the shortest, capped at the slot count.  A tiny
-    epsilon guards the exact-division cases against float noise.
+    The count assumes every group contributes the longest bond.  A tiny
+    epsilon guards the exact-division cases against float noise.  An
+    axis shorter than the shortest bond, or one that needs more groups
+    than ``slots``, raises ``ValueError``.
     """
-    if major_axis <= 0:
-        raise ValueError(f"major axis must be positive, got {major_axis}")
-    longest = max(g.bond_length_x for g in catalogue.values() if g.bond_length_x)
-    shortest = min(g.bond_length_x for g in catalogue.values() if g.bond_length_x)
-    l_min = max(1, math.ceil(major_axis / longest - 1e-9))
-    l_max = min(slots, math.floor(major_axis / shortest + 1e-9))
+    bonds = [g.bond_length_x for g in CATALOGUE.values() if g.bond_length_x]
+    if major_axis < min(bonds):
+        raise ValueError(f"axis {major_axis} is shorter than the shortest bond {min(bonds)}")
+    l_min = max(1, math.ceil(major_axis / max(bonds) - 1e-9))
     if l_min > slots:
         raise ValueError(
             f"axis {major_axis} needs at least {l_min} groups but only {slots} slots exist"
         )
-    return LengthBounds(l_min=l_min, l_max=l_max)
+    return l_min
 
 
-DEFAULT_RIGHT_BOUNDS = LengthBounds(7, RIGHT_TOPOLOGY.slots)
-DEFAULT_LEFT_BOUNDS = LengthBounds(2, LEFT_TOPOLOGY.slots)
+# l_min of each side of the bundled sample site
+DEFAULT_RIGHT_BOUNDS = 7
+DEFAULT_LEFT_BOUNDS = 2
+
+
+def _top_code(mode: str) -> int:
+    """The highest legal group code in ``mode``: 7 when fixed, NUL when variable."""
+    if mode not in ("fixed", "variable"):
+        raise ValueError(f"mode must be 'fixed' or 'variable', got {mode!r}")
+    return 7 if mode == "fixed" else NUL
 
 
 # ---------------------------------------------------------------------------
 # Validation and repair
 
 
-def _side_violations(codes, topo: TreeTopology, bounds: LengthBounds, mode: str) -> list[str]:
+def _side_violations(codes, topo: TreeTopology, l_min: int, mode: str) -> list[str]:
     out = []
     for i in topo.backbone:
         live_below = any(codes[d] != NUL for d in topo.descendants[i])
@@ -287,36 +288,33 @@ def _side_violations(codes, topo: TreeTopology, bounds: LengthBounds, mode: str)
     if mode == "fixed":
         if any(v == NUL for v in codes):
             out.append(f"{topo.name}: NUL code present in fixed-length mode")
-    elif live < bounds.l_min:
-        out.append(f"{topo.name}: {live} occupied slots, need at least {bounds.l_min}")
+    elif live < l_min:
+        out.append(f"{topo.name}: {live} occupied slots, need at least {l_min}")
     return out
 
 
 def validate_chromosome(
     c: LigandChromosome,
     mode: str = "variable",
-    right_bounds: LengthBounds = DEFAULT_RIGHT_BOUNDS,
-    left_bounds: LengthBounds = DEFAULT_LEFT_BOUNDS,
+    right_bounds: int = DEFAULT_RIGHT_BOUNDS,
+    left_bounds: int = DEFAULT_LEFT_BOUNDS,
 ) -> list[str]:
-    """All invariant violations of a chromosome (empty list = valid)."""
-    if mode not in ("fixed", "variable"):
-        raise ValueError(f"mode must be 'fixed' or 'variable', got {mode!r}")
+    """All invariant violations of a chromosome (empty list = valid).
+
+    ``right_bounds`` and ``left_bounds`` are the sides' ``l_min``.
+    """
+    _top_code(mode)
     return _side_violations(c.right, RIGHT_TOPOLOGY, right_bounds, mode) + _side_violations(
         c.left, LEFT_TOPOLOGY, left_bounds, mode
     )
 
 
-def _correct_side(
-    codes: list[int],
-    topo: TreeTopology,
-    bounds: LengthBounds,
-    mode: str,
-    rng,
-) -> list[int]:
-    top = 7 if mode == "fixed" else 8
+def _correct_side(codes: list[int], topo: TreeTopology, l_min: int, top: int, rng) -> list[int]:
+    if not 1 <= l_min <= topo.slots:
+        raise ValueError(f"{topo.name}: l_min {l_min} is outside [1, {topo.slots}]")
     for v in codes:
         if not 1 <= v <= top:
-            raise ValueError(f"illegal group code {v} for {mode} mode")
+            raise ValueError(f"illegal group code {v} (highest legal code is {top})")
 
     def live_below(i: int) -> bool:
         return any(codes[d] != NUL for d in topo.descendants[i])
@@ -331,10 +329,10 @@ def _correct_side(
             codes[i] = _POLAR_REMAP[codes[i]]
     # occupancy floor: fill empty leaves deepest-first, reviving any dead
     # slots on the path up so connectivity holds
-    if mode == "variable":
-        live = sum(1 for v in codes if v != NUL)
+    if top == NUL:
+        live = len(codes) - codes.count(NUL)
         for slot in topo.leaf_fill_order:
-            if live >= bounds.l_min:
+            if live >= l_min:
                 break
             if codes[slot] != NUL:
                 continue
@@ -357,31 +355,30 @@ def correct(
     c: LigandChromosome,
     mode: str = "variable",
     rng: np.random.Generator | None = None,
-    right_bounds: LengthBounds = DEFAULT_RIGHT_BOUNDS,
-    left_bounds: LengthBounds = DEFAULT_LEFT_BOUNDS,
+    right_bounds: int = DEFAULT_RIGHT_BOUNDS,
+    left_bounds: int = DEFAULT_LEFT_BOUNDS,
 ) -> LigandChromosome:
     """Repair a chromosome into a valid one.
 
-    Sweep order per side (right first, then left): connectivity (C2)
-    root-to-leaf — an empty internal slot with occupied descendants
-    gets a random non-polar code; polarity (C1) — a polar internal slot
-    with occupied descendants is substituted non-polar (3→1, 4→2, 7→6,
-    5→1); then, in variable mode, empty leaves are filled deepest-first
-    with random codes until ``l_min`` is met, reviving dead slots on
-    the path to the root.  Already-valid input comes back unchanged
-    with no generator draws, so the repair is idempotent.
+    ``right_bounds`` and ``left_bounds`` are the sides' ``l_min``, each
+    in 1..slots.  Sweep order per side (right first, then left):
+    connectivity (C2) root-to-leaf — an empty internal slot with
+    occupied descendants gets a random non-polar code; polarity (C1) —
+    a polar internal slot with occupied descendants is substituted
+    non-polar (3→1, 4→2, 7→6, 5→1); then, in variable mode, empty
+    leaves are filled deepest-first with random codes until ``l_min``
+    is met (all leaves filled means all slots filled), reviving dead
+    slots on the path to the root non-polar, and C1 is swept again.
+    No step undoes an earlier one, so the result is valid by
+    construction and is not re-checked.  Already-valid input comes back
+    unchanged with no generator draws, so the repair is idempotent.
     """
-    if mode not in ("fixed", "variable"):
-        raise ValueError(f"mode must be 'fixed' or 'variable', got {mode!r}")
+    top = _top_code(mode)
     if rng is None:
         raise ValueError("correct() needs the run's generator for repair draws")
-    right = _correct_side(list(c.right), RIGHT_TOPOLOGY, right_bounds, mode, rng)
-    left = _correct_side(list(c.left), LEFT_TOPOLOGY, left_bounds, mode, rng)
-    fixed = LigandChromosome(tuple(right), tuple(left))
-    remaining = validate_chromosome(fixed, mode, right_bounds, left_bounds)
-    if remaining:
-        raise RuntimeError(f"repair left violations: {remaining}")
-    return fixed
+    right = _correct_side(list(c.right), RIGHT_TOPOLOGY, right_bounds, top, rng)
+    left = _correct_side(list(c.left), LEFT_TOPOLOGY, left_bounds, top, rng)
+    return LigandChromosome(right, left)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +392,7 @@ def segment_crossover(p1, p2, seg_len: int, pos1: int, pos2: int):
     2's segment at ``pos2``; child 2 is the mirror image.  Children are
     raw — run them through :func:`correct` before evaluating.
     """
-    a = tuple(int(v) for v in p1)
-    b = tuple(int(v) for v in p2)
+    a, b = tuple(p1), tuple(p2)
     n = len(a)
     if len(b) != n:
         raise ValueError("parents must be the same side (equal length)")
@@ -416,8 +412,8 @@ def group_mutation(
     schedule: MutationSchedule,
     mode: str,
     rng: np.random.Generator,
-    right_bounds: LengthBounds = DEFAULT_RIGHT_BOUNDS,
-    left_bounds: LengthBounds = DEFAULT_LEFT_BOUNDS,
+    right_bounds: int = DEFAULT_RIGHT_BOUNDS,
+    left_bounds: int = DEFAULT_LEFT_BOUNDS,
 ) -> LigandChromosome:
     """Mutate a chromosome and repair the result.
 
@@ -427,8 +423,8 @@ def group_mutation(
     multiple-exchange and a single-slot resample from the mode's legal
     codes.  The mutant is passed through :func:`correct`.
     """
+    top = _top_code(mode)
     codes = c.as_array()
-    top = 7 if mode == "fixed" else 8
     if (
         gen >= schedule.multilevel_start_generation
         and rng.random() < schedule.multilevel_probability
@@ -795,10 +791,11 @@ def fitness(E: float, params: EnergyParams = DEFAULT_PARAMS) -> float:
 class LigandProblem:
     """Adapts ligand design to the engine's problem surface.
 
-    ``mode`` is ``"variable"`` (NUL codes allowed, occupancy bounded by
-    the site's axes) or ``"fixed"`` (all 17 slots occupied).  Genomes
-    are :class:`LigandChromosome` values; every operator output is
-    repaired, so the engine only sees valid chromosomes.
+    ``mode`` is ``"variable"`` (NUL codes allowed, each side's
+    ``l_min`` derived from the site's axes) or ``"fixed"`` (all 17
+    slots occupied).  Genomes are :class:`LigandChromosome` values;
+    every operator output is repaired, so the engine only sees valid
+    chromosomes.
     """
 
     def __init__(
@@ -808,8 +805,7 @@ class LigandProblem:
         params: EnergyParams = DEFAULT_PARAMS,
         dy: float = 1.0,
     ):
-        if mode not in ("fixed", "variable"):
-            raise ValueError(f"mode must be 'fixed' or 'variable', got {mode!r}")
+        _top_code(mode)
         self.site = site
         self.mode = mode
         self.params = params
@@ -822,8 +818,8 @@ class LigandProblem:
         self._left_terms = _SlotTerms("left", LEFT_TOPOLOGY, site.left_anchor, -1, site, params, dy)
 
     def random_genome(self, rng: np.random.Generator) -> LigandChromosome:
-        top = 7 if self.mode == "fixed" else 8
-        codes = rng.integers(1, top + 1, size=RIGHT_TOPOLOGY.slots + LEFT_TOPOLOGY.slots)
+        size = RIGHT_TOPOLOGY.slots + LEFT_TOPOLOGY.slots
+        codes = rng.integers(1, _top_code(self.mode) + 1, size=size)
         return correct(
             LigandChromosome.from_array(codes),
             self.mode,

@@ -1,5 +1,5 @@
 """TSP problem bundle: instances, a TSPLIB-subset parser, permutation
-operators and benchmark statistics.
+operators, the error metric and a brute-force oracle.
 
 The mutation and crossover operators work on any 1-D integer array, so
 the variable-length ligand encoding reuses them on group-code arrays.
@@ -19,7 +19,6 @@ from .core import MutationSchedule, hi_at
 
 __all__ = [
     "TspInstance",
-    "BenchmarkStats",
     "TspProblem",
     "tour_cost",
     "parse_tsplib",
@@ -43,14 +42,12 @@ __all__ = [
 class TspInstance:
     """A symmetric TSP instance held as a full cost matrix.
 
-    ``cost`` is an ``n x n`` symmetric matrix with zero diagonal;
-    ``coords`` is kept when the instance came from city coordinates.
+    ``cost`` is an ``n x n`` symmetric matrix with zero diagonal.
     """
 
     name: str
     n: int
     cost: np.ndarray
-    coords: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cost, dtype=float)
@@ -83,7 +80,7 @@ class TspInstance:
         if round_distances:
             dist = np.floor(dist + 0.5)  # TSPLIB nint()
         np.fill_diagonal(dist, 0.0)
-        return cls(name=name, n=len(pts), cost=dist, coords=pts)
+        return cls(name=name, n=len(pts), cost=dist)
 
 
 def tour_cost(tour: np.ndarray, instance: TspInstance) -> float:
@@ -381,18 +378,6 @@ def random_order_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Genera
 
 # ---------------------------------------------------------------------------
 # Statistics and oracles
-
-
-@dataclass(frozen=True)
-class BenchmarkStats:
-    """Best / average / error summary over a batch of runs; ``optimum``
-    and ``error_percent`` are ``None`` when no optimum is known."""
-
-    best: float
-    average: float
-    optimum: float | None
-    error_percent: float | None
-    runs: int
 
 
 def error_percent(average: float, optimum: float) -> float:

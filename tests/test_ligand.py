@@ -18,7 +18,6 @@ from nbga.ligand import (
     ActiveSite,
     EnergyParams,
     EnergyReport,
-    LengthBounds,
     LigandChromosome,
     LigandProblem,
     Residue,
@@ -95,11 +94,11 @@ def test_right_topology_tables():
     assert RIGHT_TOPOLOGY.parents == (-1, 0, 0, 2, 2, 2, 5, 5, 5, 5)
     assert RIGHT_TOPOLOGY.backbone == (0, 2, 5)
     assert RIGHT_TOPOLOGY.slots == 10
-    assert RIGHT_TOPOLOGY.children[0] == (1, 2)
-    assert RIGHT_TOPOLOGY.children[2] == (3, 4, 5)
-    assert RIGHT_TOPOLOGY.children[5] == (6, 7, 8, 9)
     assert RIGHT_TOPOLOGY.descendants[0] == (1, 2, 3, 4, 5, 6, 7, 8, 9)
+    assert RIGHT_TOPOLOGY.descendants[2] == (3, 4, 5, 6, 7, 8, 9)
     assert RIGHT_TOPOLOGY.descendants[5] == (6, 7, 8, 9)
+    assert all(RIGHT_TOPOLOGY.descendants[i] == () for i in (1, 3, 4, 6, 7, 8, 9))
+    assert RIGHT_TOPOLOGY.depths == (1, 2, 2, 3, 3, 3, 4, 4, 4, 4)
     assert RIGHT_TOPOLOGY.y_steps == (0, -1, 0, -1, 1, 0, -1, 1, -2, 2)
 
 
@@ -107,7 +106,10 @@ def test_left_topology_tables():
     assert LEFT_TOPOLOGY.parents == (-1, 0, 0, 2, 2, 2, 2)
     assert LEFT_TOPOLOGY.backbone == (0, 2)
     assert LEFT_TOPOLOGY.slots == 7
-    assert LEFT_TOPOLOGY.children[2] == (3, 4, 5, 6)
+    assert LEFT_TOPOLOGY.descendants[0] == (1, 2, 3, 4, 5, 6)
+    assert LEFT_TOPOLOGY.descendants[2] == (3, 4, 5, 6)
+    assert all(LEFT_TOPOLOGY.descendants[i] == () for i in (1, 3, 4, 5, 6))
+    assert LEFT_TOPOLOGY.depths == (1, 2, 2, 3, 3, 3, 3)
     assert LEFT_TOPOLOGY.y_steps == (0, -1, 0, -1, 1, -2, 2)
 
 
@@ -144,6 +146,26 @@ def test_chromosome_rejects_out_of_range_codes():
         LigandChromosome((9,) + (1,) * 9, FULL_LEFT)
 
 
+def test_chromosome_constructor_converts_numpy_codes_to_python_ints():
+    right = np.array([1, 5, 2, 8, 8, 1, 5, 1, 4, 6], dtype=np.int64)
+    left = np.array([2, 7, 1, 8, 3, 2, 5], dtype=np.int32)
+    c = LigandChromosome(right, left)
+    assert all(type(v) is int for v in c.right + c.left)
+    # reports, the golden digests and the benchmark hash repr() of the sides
+    assert repr(c.right) == "(1, 5, 2, 8, 8, 1, 5, 1, 4, 6)"
+    assert c == LigandChromosome(tuple(right.tolist()), tuple(left.tolist()))
+    assert hash(c) == hash(LigandChromosome(tuple(right.tolist()), tuple(left.tolist())))
+    with pytest.raises(ValueError, match="right side needs 10"):
+        LigandChromosome(right[:9], left)
+    with pytest.raises(ValueError, match="left side needs 7"):
+        LigandChromosome(right, np.append(left, 1))
+    for bad in (0, 9):
+        codes = left.copy()
+        codes[3] = bad
+        with pytest.raises(ValueError, match=f"illegal group code {bad}"):
+            LigandChromosome(right, codes)
+
+
 def test_chromosome_array_roundtrip():
     c = LigandChromosome((1, 5, 2, 8, 8, 1, 5, 1, 4, 6), (2, 7, 1, 8, 3, 2, 5))
     arr = c.as_array()
@@ -152,13 +174,16 @@ def test_chromosome_array_roundtrip():
 
 
 def test_length_bounds_from_axes():
-    assert length_bounds(18.9, 10) == LengthBounds(7, 10)
-    assert length_bounds(5.4, 7) == LengthBounds(2, 7)
+    assert length_bounds(18.9, 10) == 7
+    assert length_bounds(5.4, 7) == 2
+    assert type(length_bounds(18.9, 10)) is int
 
 
-def test_length_bounds_max_capped_by_shortest_bond():
-    bounds = length_bounds(0.05, 7)
-    assert bounds == LengthBounds(1, 5)
+def test_length_bounds_needs_at_least_the_shortest_bond():
+    assert length_bounds(0.05, 7) == 1
+    assert length_bounds(0.01, 7) == 1
+    with pytest.raises(ValueError, match="shorter than the shortest bond"):
+        length_bounds(0.0099, 7)
 
 
 def test_length_bounds_rejects_axis_longer_than_slots_can_span():
@@ -169,13 +194,6 @@ def test_length_bounds_rejects_axis_longer_than_slots_can_span():
 def test_length_bounds_rejects_nonpositive_axis():
     with pytest.raises(ValueError):
         length_bounds(0.0, 10)
-
-
-def test_length_bounds_validates_ordering():
-    with pytest.raises(ValueError):
-        LengthBounds(5, 3)
-    with pytest.raises(ValueError):
-        LengthBounds(0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +219,7 @@ def test_polar_internal_slot_with_live_descendants_is_flagged():
 def test_terminal_polar_backbone_slot_is_legal():
     # slot 5's whole subtree is empty, so a polar code there is fine
     ok = chrom((1, 1, 1, 1, 1, 5, 8, 8, 8, 8))
-    relaxed = LengthBounds(1, 10)
-    assert validate_chromosome(ok, "variable", relaxed, DEFAULT_LEFT_BOUNDS) == []
+    assert validate_chromosome(ok, "variable", 1, DEFAULT_LEFT_BOUNDS) == []
 
 
 def test_occupancy_floor_enforced_in_variable_mode():
@@ -274,14 +291,26 @@ def test_correct_fixed_mode_rejects_nul_codes():
 
 def test_correct_repairs_random_arrays_in_both_modes():
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        raw = LigandChromosome.from_array(rng.integers(1, 9, size=17))
-        assert validate_chromosome(correct(raw, "variable", rng)) == []
-    for _ in range(300):
-        raw = LigandChromosome.from_array(rng.integers(1, 8, size=17))
-        fixed = correct(raw, "fixed", rng)
-        assert validate_chromosome(fixed, mode="fixed") == []
-        assert NUL not in fixed.right + fixed.left
+    # the sample site's minimums, the smallest legal ones and full sides
+    for bounds in ((DEFAULT_RIGHT_BOUNDS, DEFAULT_LEFT_BOUNDS), (1, 1), (10, 7)):
+        for i in range(300):
+            codes = rng.integers(1, 9, size=17)
+            if i % 2:  # mostly empty input, so the fill and its C1 re-sweep run
+                codes[rng.random(17) < 0.7] = NUL
+            fixed = correct(LigandChromosome.from_array(codes), "variable", rng, *bounds)
+            assert validate_chromosome(fixed, "variable", *bounds) == []
+        for _ in range(300):
+            raw = LigandChromosome.from_array(rng.integers(1, 8, size=17))
+            fixed = correct(raw, "fixed", rng, *bounds)
+            assert validate_chromosome(fixed, "fixed", *bounds) == []
+            assert NUL not in fixed.right + fixed.left
+
+
+def test_correct_rejects_a_minimum_outside_the_side():
+    for right_min, left_min in ((11, 2), (7, 8), (0, 2), (7, 0)):
+        for mode in ("variable", "fixed"):
+            with pytest.raises(ValueError, match="l_min"):
+                correct(chrom(FULL_RIGHT), mode, NoDrawRng(), right_min, left_min)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +451,9 @@ def test_packaged_sample_site():
     assert site.left_major_axis == 5.4
     assert {abs(r.y) for r in site.residues} == {3.0}
     problem = LigandProblem(site)
-    assert problem.right_bounds == LengthBounds(7, 10)
-    assert problem.left_bounds == LengthBounds(2, 7)
+    # the defaults restate the sample site's minimums
+    assert (problem.right_bounds, problem.left_bounds) == (7, 2)
+    assert (DEFAULT_RIGHT_BOUNDS, DEFAULT_LEFT_BOUNDS) == (7, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +691,7 @@ def test_problem_rejects_unknown_mode(small_site):
 
 def test_problem_derives_bounds_from_site_axes(small_site):
     problem = LigandProblem(small_site)
-    assert problem.right_bounds == LengthBounds(7, 10)
-    assert problem.left_bounds == LengthBounds(2, 7)
+    assert (problem.right_bounds, problem.left_bounds) == (7, 2)
 
 
 def test_problem_random_genomes_are_valid(small_site):
@@ -748,3 +777,15 @@ def test_problem_mutation_respects_mode(small_site):
         for _ in range(50):
             c = problem.mutate(c, gen, schedule, rng)
             assert NUL not in c.right + c.left
+
+
+def test_problem_fixed_mode_chains_stay_valid(small_site):
+    rng = np.random.default_rng(12)
+    schedule = MutationSchedule.for_dimension(17, 100)
+    problem = LigandProblem(small_site, mode="fixed")
+    c, mate = problem.random_genome(rng), problem.random_genome(rng)
+    for i in range(400):
+        c = problem.mutate(c, 1 + i % 100, schedule, rng)
+        c, mate = problem.crossover(c, mate, rng)
+        for g in (c, mate):
+            assert validate_chromosome(g, "fixed", problem.right_bounds, problem.left_bounds) == []
