@@ -169,15 +169,14 @@ def config_from_sources(file_values: dict[str, str], flag_values: dict) -> Exper
 
 
 def _build_problem(cfg: ExperimentConfig):
-    """The problem, its genome dimension and its fitness function
-    (``None`` for TSP, which reports no fitness)."""
+    """The problem and its fitness function (``None`` for TSP, which
+    reports no fitness)."""
     if cfg.problem == "tsp":
-        instance = load_tsplib(cfg.instance)
-        return TspProblem(instance), instance.n, None
+        return TspProblem(load_tsplib(cfg.instance)), None
     site = load_site(cfg.site)
     mode = "fixed" if cfg.problem == "ligand-fixed" else "variable"
     problem = LigandProblem(site, mode=mode)
-    return problem, 17, problem.fitness_of
+    return problem, problem.fitness_of
 
 
 def _effective_generations(cfg: ExperimentConfig) -> int:
@@ -202,9 +201,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     execute in parallel processes; the report is always ordered by
     seed, so the output does not depend on scheduling.
     """
-    problem, dimension, fitness_of = _build_problem(cfg)
+    problem, fitness_of = _build_problem(cfg)
     generations = _effective_generations(cfg)
-    schedule = MutationSchedule.for_dimension(dimension, generations)
+    schedule = MutationSchedule.for_dimension(problem.n, generations)
     engine_cfgs = [
         EngineConfig(
             max_pop=cfg.pop, generations=generations, seed=cfg.seed + i, schedule=schedule

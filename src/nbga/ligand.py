@@ -23,9 +23,10 @@ Length bound
     caps the count from above: a side may fill all its slots.
 
 ``correct`` is the one place validity is established.  It repairs
-arbitrary codes into a valid chromosome by construction and is applied
-after every generation/mutation/crossover step, so the engine only ever
-evaluates valid candidates.
+arbitrary codes into a valid chromosome by construction: per side, C2
+root-to-leaf, then (variable mode) the occupancy fill, then one C1
+sweep.  :class:`LigandProblem` runs every spawn, mutant and crossover
+child through it, so the engine only ever evaluates valid candidates.
 
 Energy has two paths over one arithmetic.  :func:`interaction_energy`
 lays out the whole ligand and reports every group's term.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,7 +72,6 @@ __all__ = [
     "validate_chromosome",
     "correct",
     "segment_crossover",
-    "group_mutation",
     "layout",
     "vdw",
     "interaction_energy",
@@ -110,8 +109,8 @@ CATALOGUE: dict[int, FunctionalGroup] = {
 }
 
 NUL = 8
-POLAR_CODES = (3, 4, 5, 7)
-NONPOLAR_CODES = (1, 2, 6)
+POLAR_CODES = tuple(code for code, g in CATALOGUE.items() if g.polar)
+NONPOLAR_CODES = tuple(code for code, g in CATALOGUE.items() if g.polar is False)
 _POLAR_SET = frozenset(POLAR_CODES)
 
 # deterministic polar -> non-polar substitution used by C1 repair
@@ -127,16 +126,16 @@ class TreeTopology:
     """Parent/child structure of one ligand side.
 
     ``parents[i]`` is the slot index feeding slot ``i`` (-1 for the
-    root, which hangs off the side's anchor).  ``backbone`` lists the
-    internal slots — exactly the slots that have children; every other
-    slot is a leaf.  Derived tables (transitive descendants, depths,
-    per-slot y offsets, and the deepest-first leaf fill order) are
-    computed once at construction.
+    root, which hangs off the side's anchor).  Derived tables are
+    computed once at construction: the ``backbone`` (the internal slots,
+    exactly those with children; every other slot is a leaf), transitive
+    descendants, depths, per-slot y offsets, and the deepest-first leaf
+    fill order.
     """
 
     name: str
     parents: tuple[int, ...]
-    backbone: tuple[int, ...]
+    backbone: tuple[int, ...] = field(init=False)
     descendants: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     depths: tuple[int, ...] = field(init=False, repr=False)
     y_steps: tuple[int, ...] = field(init=False, repr=False)
@@ -153,11 +152,7 @@ class TreeTopology:
         kids: list[list[int]] = [[] for _ in range(n)]
         for i in range(1, n):
             kids[self.parents[i]].append(i)
-        internal = tuple(i for i in range(n) if kids[i])
-        if internal != tuple(sorted(self.backbone)):
-            raise ValueError(
-                f"backbone {self.backbone} must be exactly the slots with children {internal}"
-            )
+        backbone = tuple(i for i in range(n) if kids[i])
 
         desc: list[list[int]] = [[] for _ in range(n)]
         for i in range(n - 1, 0, -1):
@@ -168,12 +163,11 @@ class TreeTopology:
 
         # fan-out pattern for the j-th non-backbone child of a slot:
         # j = 1, 2, 3, 4, ... -> y steps -1, +1, -2, +2, ...
-        backbone_set = set(self.backbone)
         steps = [0] * n
         for i in range(n):
             j = 0
             for child in kids[i]:
-                if child in backbone_set:
+                if kids[child]:
                     continue
                 j += 1
                 steps[child] = (-1) ** j * math.ceil(j / 2)
@@ -181,6 +175,7 @@ class TreeTopology:
         leaves = [i for i in range(n) if not kids[i]]
         leaves.sort(key=lambda i: (-depths[i], i))
 
+        object.__setattr__(self, "backbone", backbone)
         object.__setattr__(self, "descendants", tuple(tuple(sorted(d)) for d in desc))
         object.__setattr__(self, "depths", tuple(depths))
         object.__setattr__(self, "y_steps", tuple(steps))
@@ -191,16 +186,8 @@ class TreeTopology:
         return len(self.parents)
 
 
-RIGHT_TOPOLOGY = TreeTopology(
-    name="right",
-    parents=(-1, 0, 0, 2, 2, 2, 5, 5, 5, 5),
-    backbone=(0, 2, 5),
-)
-LEFT_TOPOLOGY = TreeTopology(
-    name="left",
-    parents=(-1, 0, 0, 2, 2, 2, 2),
-    backbone=(0, 2),
-)
+RIGHT_TOPOLOGY = TreeTopology(name="right", parents=(-1, 0, 0, 2, 2, 2, 5, 5, 5, 5))
+LEFT_TOPOLOGY = TreeTopology(name="left", parents=(-1, 0, 0, 2, 2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +297,15 @@ def validate_chromosome(
 
 
 def _correct_side(codes: list[int], topo: TreeTopology, l_min: int, top: int, rng) -> list[int]:
+    """Repair one side's codes in place: C2, the variable-mode fill, C1.
+
+    The codes are already in 1..8 (:class:`LigandChromosome` checks
+    that), so the one code rule left is no NUL in fixed mode.
+    """
     if not 1 <= l_min <= topo.slots:
         raise ValueError(f"{topo.name}: l_min {l_min} is outside [1, {topo.slots}]")
-    for v in codes:
-        if not 1 <= v <= top:
-            raise ValueError(f"illegal group code {v} (highest legal code is {top})")
+    if top != NUL and NUL in codes:
+        raise ValueError(f"illegal group code {NUL} in fixed mode")
 
     def live_below(i: int) -> bool:
         return any(codes[d] != NUL for d in topo.descendants[i])
@@ -323,12 +314,8 @@ def _correct_side(codes: list[int], topo: TreeTopology, l_min: int, top: int, rn
     for i in topo.backbone:
         if codes[i] == NUL and live_below(i):
             codes[i] = NONPOLAR_CODES[int(rng.integers(len(NONPOLAR_CODES)))]
-    # C1
-    for i in topo.backbone:
-        if codes[i] in _POLAR_SET and live_below(i):
-            codes[i] = _POLAR_REMAP[codes[i]]
     # occupancy floor: fill empty leaves deepest-first, reviving any dead
-    # slots on the path up so connectivity holds
+    # slots on the path up (non-polar) so connectivity holds
     if top == NUL:
         live = len(codes) - codes.count(NUL)
         for slot in topo.leaf_fill_order:
@@ -344,10 +331,11 @@ def _correct_side(codes: list[int], topo: TreeTopology, l_min: int, top: int, rn
                     codes[a] = NONPOLAR_CODES[int(rng.integers(len(NONPOLAR_CODES)))]
                     live += 1
                 a = topo.parents[a]
-        # a fill can hand live descendants to a previously-terminal polar slot
-        for i in topo.backbone:
-            if codes[i] in _POLAR_SET and live_below(i):
-                codes[i] = _POLAR_REMAP[codes[i]]
+    # C1, once: neither C2 nor the fill reads polarity, and the fill only
+    # adds occupied slots, so sweeping last sees every slot that needs it
+    for i in topo.backbone:
+        if codes[i] in _POLAR_SET and live_below(i):
+            codes[i] = _POLAR_REMAP[codes[i]]
     return codes
 
 
@@ -361,15 +349,15 @@ def correct(
     """Repair a chromosome into a valid one.
 
     ``right_bounds`` and ``left_bounds`` are the sides' ``l_min``, each
-    in 1..slots.  Sweep order per side (right first, then left):
-    connectivity (C2) root-to-leaf — an empty internal slot with
-    occupied descendants gets a random non-polar code; polarity (C1) —
-    a polar internal slot with occupied descendants is substituted
-    non-polar (3→1, 4→2, 7→6, 5→1); then, in variable mode, empty
-    leaves are filled deepest-first with random codes until ``l_min``
-    is met (all leaves filled means all slots filled), reviving dead
-    slots on the path to the root non-polar, and C1 is swept again.
-    No step undoes an earlier one, so the result is valid by
+    in 1..slots; fixed mode rejects a NUL code.  Sweep order per side
+    (right first, then left): connectivity (C2) root-to-leaf — an empty
+    internal slot with occupied descendants gets a random non-polar
+    code; then, in variable mode, empty leaves are filled deepest-first
+    with random codes until ``l_min`` is met (all leaves filled means
+    all slots filled), reviving dead slots on the path to the root
+    non-polar; last, one polarity (C1) sweep — a polar internal slot
+    with occupied descendants is substituted non-polar (3→1, 4→2, 7→6,
+    5→1).  No step undoes an earlier one, so the result is valid by
     construction and is not re-checked.  Already-valid input comes back
     unchanged with no generator draws, so the repair is idempotent.
     """
@@ -406,42 +394,6 @@ def segment_crossover(p1, p2, seg_len: int, pos1: int, pos2: int):
     return child1, child2
 
 
-def group_mutation(
-    c: LigandChromosome,
-    gen: int,
-    schedule: MutationSchedule,
-    mode: str,
-    rng: np.random.Generator,
-    right_bounds: int = DEFAULT_RIGHT_BOUNDS,
-    left_bounds: int = DEFAULT_LEFT_BOUNDS,
-) -> LigandChromosome:
-    """Mutate a chromosome and repair the result.
-
-    Acts on the concatenated 17-code array so exchanges may move codes
-    across sides.  Draw order: first the multilevel gate (when the
-    schedule allows it), then a fair coin between a scheduled
-    multiple-exchange and a single-slot resample from the mode's legal
-    codes.  The mutant is passed through :func:`correct`.
-    """
-    top = _top_code(mode)
-    codes = c.as_array()
-    if (
-        gen >= schedule.multilevel_start_generation
-        and rng.random() < schedule.multilevel_probability
-    ):
-        variant = MULTILEVEL_VARIANTS[int(rng.integers(len(MULTILEVEL_VARIANTS)))]
-        codes = multilevel_mutation(codes, variant, rng)
-    elif rng.random() < 0.5:
-        hi = hi_at(gen, len(codes), schedule)
-        ri = int(rng.integers(2, hi + 1))
-        codes = multiple_exchange_mutation(codes, ri, rng)
-    else:
-        codes = codes.copy()
-        slot = int(rng.integers(len(codes)))
-        codes[slot] = int(rng.integers(1, top + 1))
-    return correct(LigandChromosome.from_array(codes), mode, rng, right_bounds, left_bounds)
-
-
 # ---------------------------------------------------------------------------
 # Active site and geometry
 
@@ -470,6 +422,15 @@ class ActiveSite:
     def __post_init__(self) -> None:
         if not self.residues:
             raise ValueError("active site needs at least one residue")
+        numbers = [
+            ("right_anchor", self.right_anchor),
+            ("left_anchor", self.left_anchor),
+            ("right_major_axis", self.right_major_axis),
+            ("left_major_axis", self.left_major_axis),
+        ] + [(f"residue {r.name}", (r.x, r.y)) for r in self.residues]
+        for name, value in numbers:
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if tuple(self.right_anchor) == tuple(self.left_anchor):
             raise ValueError("anchors must be distinct points")
         if self.right_major_axis <= 0 or self.left_major_axis <= 0:
@@ -675,17 +636,10 @@ class EnergyReport:
     terms: tuple[GroupTerm, ...]
 
 
-@lru_cache(maxsize=16)
-def _site_arrays(site: ActiveSite):
-    res_x = np.array([r.x for r in site.residues])
-    res_y = np.array([r.y for r in site.residues])
-    res_polar = tuple(r.polar for r in site.residues)
-    return res_x, res_y, res_polar
-
-
 def _group_terms(rows, site: ActiveSite, params: EnergyParams):
     """Yield (row, nearest index, distance, term) per occupied slot."""
-    res_x, res_y, res_polar = _site_arrays(site)
+    res_x = np.array([r.x for r in site.residues])
+    res_y = np.array([r.y for r in site.residues])
     for row in rows:
         _, _, code, x, y = row
         d2 = (res_x - x) ** 2 + (res_y - y) ** 2
@@ -695,7 +649,7 @@ def _group_terms(rows, site: ActiveSite, params: EnergyParams):
             term = params.clash_penalty
         elif d <= params.r_max:
             term = vdw(d, params)
-            if _IS_POLAR[code - 1] != res_polar[idx]:
+            if _IS_POLAR[code - 1] != site.residues[idx].polar:
                 term += params.mismatch_penalty
         else:
             term = 0.0
@@ -792,11 +746,13 @@ class LigandProblem:
     """Adapts ligand design to the engine's problem surface.
 
     ``mode`` is ``"variable"`` (NUL codes allowed, each side's
-    ``l_min`` derived from the site's axes) or ``"fixed"`` (all 17
-    slots occupied).  Genomes are :class:`LigandChromosome` values;
-    every operator output is repaired, so the engine only sees valid
-    chromosomes.
+    ``l_min`` derived from the site's axes) or ``"fixed"`` (all ``n`` =
+    17 slots occupied).  Genomes are :class:`LigandChromosome` values;
+    every spawn, mutant and crossover child is repaired by
+    :func:`correct`, so the engine only sees valid chromosomes.
     """
+
+    n = RIGHT_TOPOLOGY.slots + LEFT_TOPOLOGY.slots
 
     def __init__(
         self,
@@ -805,7 +761,7 @@ class LigandProblem:
         params: EnergyParams = DEFAULT_PARAMS,
         dy: float = 1.0,
     ):
-        _top_code(mode)
+        self._top = _top_code(mode)
         self.site = site
         self.mode = mode
         self.params = params
@@ -817,16 +773,12 @@ class LigandProblem:
         )
         self._left_terms = _SlotTerms("left", LEFT_TOPOLOGY, site.left_anchor, -1, site, params, dy)
 
+    def _repair(self, c: LigandChromosome, rng: np.random.Generator) -> LigandChromosome:
+        return correct(c, self.mode, rng, self.right_bounds, self.left_bounds)
+
     def random_genome(self, rng: np.random.Generator) -> LigandChromosome:
-        size = RIGHT_TOPOLOGY.slots + LEFT_TOPOLOGY.slots
-        codes = rng.integers(1, _top_code(self.mode) + 1, size=size)
-        return correct(
-            LigandChromosome.from_array(codes),
-            self.mode,
-            rng,
-            self.right_bounds,
-            self.left_bounds,
-        )
+        codes = rng.integers(1, self._top + 1, size=self.n)
+        return self._repair(LigandChromosome.from_array(codes), rng)
 
     def objective(self, c: LigandChromosome) -> float:
         """``interaction_energy(c, site, params, dy).total``, bit for bit.
@@ -850,9 +802,28 @@ class LigandProblem:
         schedule: MutationSchedule,
         rng: np.random.Generator,
     ) -> LigandChromosome:
-        return group_mutation(
-            c, gen, schedule, self.mode, rng, self.right_bounds, self.left_bounds
-        )
+        """Mutate the concatenated 17-code array, then repair.
+
+        Exchanges may move codes across sides.  Draw order: first the
+        multilevel gate (when the schedule allows it), then a fair coin
+        between a scheduled multiple-exchange and a single-slot resample
+        (slot, then code) from the mode's legal codes.
+        """
+        codes = c.as_array()
+        if (
+            gen >= schedule.multilevel_start_generation
+            and rng.random() < schedule.multilevel_probability
+        ):
+            variant = MULTILEVEL_VARIANTS[int(rng.integers(len(MULTILEVEL_VARIANTS)))]
+            codes = multilevel_mutation(codes, variant, rng)
+        elif rng.random() < 0.5:
+            hi = hi_at(gen, self.n, schedule)
+            ri = int(rng.integers(2, hi + 1))
+            codes = multiple_exchange_mutation(codes, ri, rng)
+        else:
+            slot = int(rng.integers(self.n))
+            codes[slot] = int(rng.integers(1, self._top + 1))
+        return self._repair(LigandChromosome.from_array(codes), rng)
 
     def crossover(self, a: LigandChromosome, b: LigandChromosome, rng: np.random.Generator):
         """Per-side segment swap, then repair of both children.
@@ -868,10 +839,7 @@ class LigandProblem:
             pos2 = int(rng.integers(0, n - seg_len + 1))
             sides.append(segment_crossover(s1, s2, seg_len, pos1, pos2))
         (r1, r2), (l1, l2) = sides
-        child1 = correct(
-            LigandChromosome(r1, l1), self.mode, rng, self.right_bounds, self.left_bounds
+        return (
+            self._repair(LigandChromosome(r1, l1), rng),
+            self._repair(LigandChromosome(r2, l2), rng),
         )
-        child2 = correct(
-            LigandChromosome(r2, l2), self.mode, rng, self.right_bounds, self.left_bounds
-        )
-        return child1, child2

@@ -429,8 +429,7 @@ class TspProblem:
         return rng.permutation(self.n)
 
     def objective(self, tour: np.ndarray) -> float:
-        c = self.instance.cost
-        return float(c[tour[:-1], tour[1:]].sum() + c[tour[-1], tour[0]])
+        return tour_cost(tour, self.instance)
 
     def mutate(
         self,

@@ -375,6 +375,18 @@ def test_main_design_ligand_includes_detail(tmp_path, capsys):
     assert "total_energy:" in out
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_main_design_ligand_rejects_non_finite_axis(tmp_path, capsys, value):
+    site = tmp_path / "site.txt"
+    with open(SAMPLE_SITE) as fh:
+        site.write_text(fh.read().replace("right_axis 18.9", f"right_axis {value}"))
+    code = main(["design-ligand", "--site", str(site), "--pop", "8", "--generations", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: right_major_axis must be finite")
+    assert "Traceback" not in err
+
+
 def test_main_design_ligand_fixed_mode(capsys):
     code = main([
         "design-ligand", "--site", SAMPLE_SITE, "--mode", "fixed",

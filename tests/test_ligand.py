@@ -23,9 +23,10 @@ from nbga.ligand import (
     Residue,
     SiteFormatError,
     TreeTopology,
+    _POLAR_REMAP,
+    _POLAR_SET,
     correct,
     fitness,
-    group_mutation,
     interaction_energy,
     layout,
     length_bounds,
@@ -39,6 +40,11 @@ from tests.conftest import NoDrawRng, PinRng, ScriptedRng
 ALL_NUL_LEFT = (8, 8, 8, 8, 8, 8, 8)
 FULL_RIGHT = (1,) * 10
 FULL_LEFT = (1,) * 7
+
+
+@pytest.fixture(scope="module")
+def sample_site() -> ActiveSite:
+    return load_site(importlib.resources.files("nbga") / "data" / "sample_site.txt")
 
 
 def chrom(right, left=FULL_LEFT) -> LigandChromosome:
@@ -113,14 +119,9 @@ def test_left_topology_tables():
     assert LEFT_TOPOLOGY.y_steps == (0, -1, 0, -1, 1, -2, 2)
 
 
-def test_topology_rejects_wrong_backbone():
-    with pytest.raises(ValueError, match="backbone"):
-        TreeTopology(name="bad", parents=(-1, 0, 0), backbone=(0, 1))
-
-
 def test_topology_rejects_forward_parent_reference():
     with pytest.raises(ValueError):
-        TreeTopology(name="bad", parents=(-1, 2, 0), backbone=(0, 2))
+        TreeTopology(name="bad", parents=(-1, 2, 0))
 
 
 def test_leaf_fill_order_is_deepest_first():
@@ -306,6 +307,65 @@ def test_correct_repairs_random_arrays_in_both_modes():
             assert NUL not in fixed.right + fixed.left
 
 
+def _two_sweep_correct_side(codes, topo, l_min, top, rng):
+    """The side repair with C1 swept before and after the fill, as it
+    stood before the single sweep: the oracle for :func:`correct`."""
+    if not 1 <= l_min <= topo.slots:
+        raise ValueError(f"{topo.name}: l_min {l_min} is outside [1, {topo.slots}]")
+    for v in codes:
+        if not 1 <= v <= top:
+            raise ValueError(f"illegal group code {v} (highest legal code is {top})")
+
+    def live_below(i):
+        return any(codes[d] != NUL for d in topo.descendants[i])
+
+    for i in topo.backbone:
+        if codes[i] == NUL and live_below(i):
+            codes[i] = NONPOLAR_CODES[int(rng.integers(len(NONPOLAR_CODES)))]
+    for i in topo.backbone:
+        if codes[i] in _POLAR_SET and live_below(i):
+            codes[i] = _POLAR_REMAP[codes[i]]
+    if top == NUL:
+        live = len(codes) - codes.count(NUL)
+        for slot in topo.leaf_fill_order:
+            if live >= l_min:
+                break
+            if codes[slot] != NUL:
+                continue
+            codes[slot] = int(rng.integers(1, 8))
+            live += 1
+            a = topo.parents[slot]
+            while a >= 0:
+                if codes[a] == NUL:
+                    codes[a] = NONPOLAR_CODES[int(rng.integers(len(NONPOLAR_CODES)))]
+                    live += 1
+                a = topo.parents[a]
+        for i in topo.backbone:
+            if codes[i] in _POLAR_SET and live_below(i):
+                codes[i] = _POLAR_REMAP[codes[i]]
+    return codes
+
+
+def test_correct_matches_the_two_sweep_repair():
+    inputs = np.random.default_rng(23)
+    for mode, top in (("variable", NUL), ("fixed", 7)):
+        for right_min, left_min in ((7, 2), (1, 1), (10, 7)):
+            rng, oracle_rng = np.random.default_rng(29), np.random.default_rng(29)
+            for i in range(250):
+                codes = inputs.integers(1, top + 1, size=17)
+                if top == NUL and i % 2:  # mostly empty, so the fill runs
+                    codes[inputs.random(17) < 0.7] = NUL
+                raw = LigandChromosome.from_array(codes)
+                expected = LigandChromosome(
+                    _two_sweep_correct_side(list(raw.right), RIGHT_TOPOLOGY, right_min, top,
+                                            oracle_rng),
+                    _two_sweep_correct_side(list(raw.left), LEFT_TOPOLOGY, left_min, top,
+                                            oracle_rng),
+                )
+                assert correct(raw, mode, rng, right_min, left_min) == expected
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_correct_rejects_a_minimum_outside_the_side():
     for right_min, left_min in ((11, 2), (7, 8), (0, 2), (7, 0)):
         for mode in ("variable", "fixed"):
@@ -342,31 +402,32 @@ def test_segment_crossover_validates_arguments():
         segment_crossover(GOLDEN_P1, GOLDEN_P2, 3, 8, 0)
 
 
-def test_group_mutation_single_slot_resample_path():
+def test_group_mutation_single_slot_resample_path(sample_site):
     rng = ScriptedRng(integers=[16, 2], random=[0.9, 0.7])
-    out = group_mutation(chrom(FULL_RIGHT), 1, MutationSchedule(), "variable", rng)
+    out = LigandProblem(sample_site).mutate(chrom(FULL_RIGHT), 1, MutationSchedule(), rng)
     assert out.right == FULL_RIGHT
     assert out.left == (1, 1, 1, 1, 1, 1, 2)
     rng.assert_exhausted()
 
 
-def test_group_mutation_exchange_path_crosses_sides():
+def test_group_mutation_exchange_path_crosses_sides(sample_site):
     rng = ScriptedRng(
         integers=[2], random=[0.9, 0.3], choice=[[0, 16]], permutation=[[1, 0]]
     )
-    out = group_mutation(chrom((2,) * 10), 1, MutationSchedule(), "variable", rng)
+    out = LigandProblem(sample_site).mutate(chrom((2,) * 10), 1, MutationSchedule(), rng)
     assert out.right == (1,) + (2,) * 9
     assert out.left == (1, 1, 1, 1, 1, 1, 2)
     rng.assert_exhausted()
 
 
-def test_group_mutation_output_is_always_valid():
+def test_group_mutation_output_is_always_valid(sample_site):
     rng = np.random.default_rng(17)
     schedule = MutationSchedule.for_dimension(17, 100)
+    problem = LigandProblem(sample_site)
     c = chrom(FULL_RIGHT)
     for gen in (1, 30, 60, 100):
         for _ in range(150):
-            c = group_mutation(c, gen, schedule, "variable", rng)
+            c = problem.mutate(c, gen, schedule, rng)
             assert validate_chromosome(c) == []
 
 
@@ -435,6 +496,21 @@ def test_active_site_rejects_coincident_anchors():
             right_major_axis=1.0,
             left_major_axis=1.0,
         )
+
+
+@pytest.mark.parametrize(
+    "line, replacement, field",
+    [
+        ("right_axis 2.7", "right_axis inf", "right_major_axis"),
+        ("left_axis 2.7", "left_axis nan", "left_major_axis"),
+        ("right_anchor 0.0 0.0", "right_anchor 0.0 -inf", "right_anchor"),
+        ("left_anchor -1.0 0.0", "left_anchor nan 0.0", "left_anchor"),
+        ("LEU2 -2.0 -1.0", "LEU2 -2.0 inf", "residue LEU2"),
+    ],
+)
+def test_active_site_rejects_non_finite_numbers(line, replacement, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        parse_site(SITE_TEXT.replace(line, replacement))
 
 
 def test_load_site_reads_files(tmp_path):
@@ -732,12 +808,11 @@ def _bred_genomes(problem, rng, count):
 
 
 @pytest.mark.parametrize("mode", ["variable", "fixed"])
-def test_problem_objective_equals_report_total_bit_for_bit(mode, small_site):
-    sample = load_site(importlib.resources.files("nbga") / "data" / "sample_site.txt")
+def test_problem_objective_equals_report_total_bit_for_bit(mode, small_site, sample_site):
     odd = EnergyParams(Cn=2.0, Cm=0.5, r_min=0.5, r_max=3.1, clash_penalty=7.0,
                        mismatch_penalty=3.0, E_floor=1e-4)
     rng = np.random.default_rng(41)
-    for site, params, dy in ((sample, EnergyParams(), 1.0), (sample, odd, 0.8),
+    for site, params, dy in ((sample_site, EnergyParams(), 1.0), (sample_site, odd, 0.8),
                              (small_site, odd, 1.3)):
         problem = LigandProblem(site, mode, params, dy)
         for c in _bred_genomes(problem, rng, 700):
