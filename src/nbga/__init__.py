@@ -16,7 +16,6 @@ from .core import (
 from .ligand import (
     CATALOGUE,
     ActiveSite,
-    EnergyParams,
     LigandChromosome,
     LigandProblem,
     correct,
@@ -53,7 +52,6 @@ __all__ = [
     "tour_cost",
     "CATALOGUE",
     "ActiveSite",
-    "EnergyParams",
     "LigandChromosome",
     "LigandProblem",
     "correct",

@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .core import EngineConfig, MutationSchedule, RunResult, classic_ga_baseline, evolve
-from .ligand import LigandProblem, load_site
+from .ligand import FITNESS_K, LigandProblem, fitness, load_site
 from .tsp import TspProblem, error_percent, load_tsplib
 
 __all__ = [
@@ -161,6 +161,8 @@ def config_from_sources(file_values: dict[str, str], flag_values: dict) -> Exper
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value
+    if "problem" not in merged:
+        raise ValueError("no problem given: set the 'problem' config key")
     return ExperimentConfig(**merged)
 
 
@@ -175,8 +177,7 @@ def _build_problem(cfg: ExperimentConfig):
         return TspProblem(load_tsplib(cfg.instance)), None
     site = load_site(cfg.site)
     mode = "fixed" if cfg.problem == "ligand-fixed" else "variable"
-    problem = LigandProblem(site, mode=mode)
-    return problem, problem.fitness_of
+    return LigandProblem(site, mode=mode), fitness
 
 
 def _effective_generations(cfg: ExperimentConfig) -> int:
@@ -308,7 +309,7 @@ def _ligand_detail(report: ExperimentReport) -> list[str]:
     problem = report.problem
     best = min(report.results, key=lambda r: r.best_individual.objective)
     chromo = best.best_individual.genome
-    energy = interaction_energy(chromo, problem.site, problem.params, problem.dy)
+    energy = interaction_energy(chromo, problem.site)
     lines = [
         "best_run_seed: %d" % best.seed,
         "right: " + " ".join(str(v) for v in chromo.right),
@@ -316,7 +317,7 @@ def _ligand_detail(report: ExperimentReport) -> list[str]:
         "placements:",
         "side pos code name x y",
     ]
-    for p in layout(chromo, problem.site, problem.dy):
+    for p in layout(chromo, problem.site):
         lines.append(
             f"{p.side} {p.position} {p.code} {CATALOGUE[p.code].name} {p.x:.6f} {p.y:.6f}"
         )
@@ -334,17 +335,13 @@ def emit_trace(result: RunResult, path, fitness_k: float | None = None) -> None:
     """Write one run's per-generation trace as CSV.
 
     Columns ``generation,best_objective,fitness`` — the fitness column
-    is ``k / best_objective`` when ``fitness_k`` is given (ligand) and
-    empty otherwise (TSP).
+    is ``fitness_k / best_objective`` when ``fitness_k`` is given
+    (ligand) and empty otherwise (TSP).
     """
-    _write_trace(result, path, None if fitness_k is None else lambda best: fitness_k / best)
-
-
-def _write_trace(result: RunResult, path, fitness_of) -> None:
     with open(path, "w") as fh:
         fh.write("generation,best_objective,fitness\n")
         for gen, best in result.best_trace:
-            column = "" if fitness_of is None else f"{fitness_of(best):.6f}"
+            column = "" if fitness_k is None else f"{fitness_k / best:.6f}"
             fh.write(f"{gen},{best:.6f},{column}\n")
 
 
@@ -356,7 +353,7 @@ def _write_outputs(report: ExperimentReport, detail: bool) -> str:
             fh.write(text)
     if cfg.trace:
         best = min(report.results, key=lambda r: r.best_individual.objective)
-        _write_trace(best, cfg.trace, report.fitness_of)
+        emit_trace(best, cfg.trace, FITNESS_K if cfg.problem.startswith("ligand") else None)
     return text
 
 

@@ -108,7 +108,8 @@ class MutationSchedule:
         Starts the exchange breadth at one sixth of the dimension
         (floored, at least 2), decays it over the first half of the
         run, and enables multilevel mutation with a small probability
-        over the second half.
+        over the second half.  The decay is inert for the 17-slot ligand:
+        ``hi_start = max(2, 17 // 6) = 2`` already equals ``hi_floor``.
         """
         hi_start = max(2, n // 6)
         half = max(1, generations // 2)

@@ -63,7 +63,15 @@ __all__ = [
     "LigandChromosome",
     "Residue",
     "ActiveSite",
-    "EnergyParams",
+    "CN",
+    "CM",
+    "R_MIN",
+    "R_MAX",
+    "CLASH_PENALTY",
+    "MISMATCH_PENALTY",
+    "FITNESS_K",
+    "E_FLOOR",
+    "DY",
     "Placement",
     "GroupTerm",
     "EnergyReport",
@@ -525,8 +533,11 @@ _BOND = tuple(
 )
 _IS_POLAR = tuple(bool(CATALOGUE[code].polar) for code in range(1, 8)) + (False,)
 
+# y spacing, in Angstrom, between a slot's row and its fanned-out branch rows
+DY = 1.0
 
-def _layout_side(codes, topo: TreeTopology, anchor, direction: int, dy: float):
+
+def _layout_side(codes, topo: TreeTopology, anchor, direction: int):
     """(position, code, x, y) rows for one side's occupied slots."""
     placed: list[tuple[int, int, float, float]] = []
     xs: dict[int, float] = {}
@@ -543,76 +554,56 @@ def _layout_side(codes, topo: TreeTopology, anchor, direction: int, dy: float):
         else:
             raise ValueError(f"{topo.name}[{i}] is occupied under an empty slot {parent}")
         x = px + direction * _BOND[code - 1]
-        y = py + topo.y_steps[i] * dy
+        y = py + topo.y_steps[i] * DY
         xs[i], ys[i] = x, y
         placed.append((i, code, x, y))
     return placed
 
 
-def _placed_rows(c: LigandChromosome, site: ActiveSite, dy: float):
-    right = _layout_side(c.right, RIGHT_TOPOLOGY, site.right_anchor, +1, dy)
-    left = _layout_side(c.left, LEFT_TOPOLOGY, site.left_anchor, -1, dy)
+def _placed_rows(c: LigandChromosome, site: ActiveSite):
+    right = _layout_side(c.right, RIGHT_TOPOLOGY, site.right_anchor, +1)
+    left = _layout_side(c.left, LEFT_TOPOLOGY, site.left_anchor, -1)
     return [("right", *row) for row in right] + [("left", *row) for row in left]
 
 
-def layout(c: LigandChromosome, site: ActiveSite, dy: float = 1.0) -> tuple[Placement, ...]:
+def layout(c: LigandChromosome, site: ActiveSite) -> tuple[Placement, ...]:
     """Deterministic 2D coordinates for every occupied slot.
 
     Each side grows from its anchor away from the scaffold along x
     (right +, left −); a slot's x is its parent's x displaced by the
     slot's own bond length.  Backbone slots keep their parent's y; the
-    j-th non-backbone child of a slot fans out to parent_y + dy·(−1)^j
+    j-th non-backbone child of a slot fans out to parent_y + DY·(−1)^j
     ·ceil(j/2), counting child slots in position order.  NUL slots are
     omitted.
     """
-    return tuple(Placement(*row) for row in _placed_rows(c, site, dy))
+    return tuple(Placement(*row) for row in _placed_rows(c, site))
 
 
 # ---------------------------------------------------------------------------
 # Energy model
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """Constants of the interaction-energy model.
-
-    ``vdw`` is evaluated as Cn·r⁻⁶ − Cm·r⁻¹², attractive minus
-    repulsive (the reverse of the usual Lennard-Jones sign).  A group
-    closer than ``r_min`` to its nearest residue costs the clash
-    penalty; inside the [r_min, r_max] window it contributes vdw plus
-    the mismatch penalty when group and residue polarity differ; past
-    ``r_max`` it contributes nothing.  The total is clamped below at
-    ``E_floor`` so the fitness k/E stays finite.
-    """
-
-    Cn: float = 1.0
-    Cm: float = 1.0
-    r_min: float = 0.7
-    r_max: float = 2.7
-    clash_penalty: float = 10.0
-    mismatch_penalty: float = 5.0
-    k: float = 100.0
-    E_floor: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
-        if self.clash_penalty < 0 or self.mismatch_penalty < 0:
-            raise ValueError("penalties must be non-negative")
-        if self.k <= 0:
-            raise ValueError("fitness constant k must be positive")
-        if self.E_floor <= 0:
-            raise ValueError("E_floor must be positive")
+# The model's constants.  ``vdw`` is CN·r⁻⁶ − CM·r⁻¹², attractive minus
+# repulsive (the reverse of the usual Lennard-Jones sign).  A group closer
+# than R_MIN to its nearest residue costs CLASH_PENALTY; inside the
+# [R_MIN, R_MAX] window it contributes vdw plus MISMATCH_PENALTY when group
+# and residue polarity differ; past R_MAX it contributes nothing.  The
+# total is clamped below at E_FLOOR so the fitness FITNESS_K/E stays finite.
+CN = 1.0
+CM = 1.0
+R_MIN = 0.7
+R_MAX = 2.7
+CLASH_PENALTY = 10.0
+MISMATCH_PENALTY = 5.0
+FITNESS_K = 100.0
+E_FLOOR = 1e-6
 
 
-DEFAULT_PARAMS = EnergyParams()
-
-
-def vdw(r: float, params: EnergyParams = DEFAULT_PARAMS) -> float:
+def vdw(r: float) -> float:
     """Pairwise Van der Waals potential at distance ``r``."""
     if r <= 0:
         raise ValueError(f"distance must be positive, got {r}")
-    return params.Cn / r**6 - params.Cm / r**12
+    return CN / r**6 - CM / r**12
 
 
 @dataclass(frozen=True)
@@ -636,7 +627,7 @@ class EnergyReport:
     terms: tuple[GroupTerm, ...]
 
 
-def _group_terms(rows, site: ActiveSite, params: EnergyParams):
+def _group_terms(rows, site: ActiveSite):
     """Yield (row, nearest index, distance, term) per occupied slot."""
     res_x = np.array([r.x for r in site.residues])
     res_y = np.array([r.y for r in site.residues])
@@ -645,39 +636,33 @@ def _group_terms(rows, site: ActiveSite, params: EnergyParams):
         d2 = (res_x - x) ** 2 + (res_y - y) ** 2
         idx = int(np.argmin(d2))
         d = float(math.sqrt(d2[idx]))
-        if d < params.r_min:
-            term = params.clash_penalty
-        elif d <= params.r_max:
-            term = vdw(d, params)
+        if d < R_MIN:
+            term = CLASH_PENALTY
+        elif d <= R_MAX:
+            term = vdw(d)
             if _IS_POLAR[code - 1] != site.residues[idx].polar:
-                term += params.mismatch_penalty
+                term += MISMATCH_PENALTY
         else:
             term = 0.0
         yield row, idx, d, term
 
 
-def interaction_energy(
-    c: LigandChromosome,
-    site: ActiveSite,
-    params: EnergyParams = DEFAULT_PARAMS,
-    dy: float = 1.0,
-) -> EnergyReport:
+def interaction_energy(c: LigandChromosome, site: ActiveSite) -> EnergyReport:
     """Sum each placed group's term against its nearest residue.
 
     Nearest is by Euclidean distance (first residue wins ties).  The
-    per-group rule is the window rule documented on
-    :class:`EnergyParams`; the clamped total is never below
-    ``params.E_floor``.
+    per-group rule is the window rule of the module constants above; the
+    clamped total is never below ``E_FLOOR``.
     """
-    rows = _placed_rows(c, site, dy)
+    rows = _placed_rows(c, site)
     if not rows:
         raise ValueError("chromosome places no groups")
     terms: list[GroupTerm] = []
     total = 0.0
-    for (side, pos, code, _, _), idx, d, term in _group_terms(rows, site, params):
+    for (side, pos, code, _, _), idx, d, term in _group_terms(rows, site):
         total += term
         terms.append(GroupTerm(side, pos, code, site.residues[idx].name, d, term))
-    return EnergyReport(total=max(total, params.E_floor), terms=tuple(terms))
+    return EnergyReport(total=max(total, E_FLOOR), terms=tuple(terms))
 
 
 class _SlotTerms:
@@ -693,14 +678,12 @@ class _SlotTerms:
     are never stored: their fill raises ``ValueError`` on every lookup.
     """
 
-    def __init__(self, side, topo, anchor, direction, site, params, dy):
+    def __init__(self, side, topo, anchor, direction, site):
         self.side = side
         self.topo = topo
         self.anchor = anchor
         self.direction = direction
         self.site = site
-        self.params = params
-        self.dy = dy
         self.rows = [[None] * 8**depth for depth in topo.depths]
 
     def add(self, codes, total: float) -> float:
@@ -725,17 +708,17 @@ class _SlotTerms:
             path.add(a)
             a = topo.parents[a]
         masked = [codes[s] if s in path else NUL for s in range(topo.slots)]
-        row = _layout_side(masked, topo, self.anchor, self.direction, self.dy)[-1]
-        ((_, _, _, term),) = _group_terms([(self.side, *row)], self.site, self.params)
+        row = _layout_side(masked, topo, self.anchor, self.direction)[-1]
+        ((_, _, _, term),) = _group_terms([(self.side, *row)], self.site)
         self.rows[i][key] = term
         return term
 
 
-def fitness(E: float, params: EnergyParams = DEFAULT_PARAMS) -> float:
-    """Reported fitness F = k/E (selection minimizes E directly)."""
-    if E < params.E_floor:
-        raise ValueError(f"energy {E} below the clamp {params.E_floor}")
-    return params.k / E
+def fitness(E: float) -> float:
+    """Reported fitness F = FITNESS_K/E (selection minimizes E directly)."""
+    if E < E_FLOOR:
+        raise ValueError(f"energy {E} below the clamp {E_FLOOR}")
+    return FITNESS_K / E
 
 
 # ---------------------------------------------------------------------------
@@ -754,24 +737,14 @@ class LigandProblem:
 
     n = RIGHT_TOPOLOGY.slots + LEFT_TOPOLOGY.slots
 
-    def __init__(
-        self,
-        site: ActiveSite,
-        mode: str = "variable",
-        params: EnergyParams = DEFAULT_PARAMS,
-        dy: float = 1.0,
-    ):
+    def __init__(self, site: ActiveSite, mode: str = "variable"):
         self._top = _top_code(mode)
         self.site = site
         self.mode = mode
-        self.params = params
-        self.dy = dy
         self.right_bounds = length_bounds(site.right_major_axis, RIGHT_TOPOLOGY.slots)
         self.left_bounds = length_bounds(site.left_major_axis, LEFT_TOPOLOGY.slots)
-        self._right_terms = _SlotTerms(
-            "right", RIGHT_TOPOLOGY, site.right_anchor, +1, site, params, dy
-        )
-        self._left_terms = _SlotTerms("left", LEFT_TOPOLOGY, site.left_anchor, -1, site, params, dy)
+        self._right_terms = _SlotTerms("right", RIGHT_TOPOLOGY, site.right_anchor, +1, site)
+        self._left_terms = _SlotTerms("left", LEFT_TOPOLOGY, site.left_anchor, -1, site)
 
     def _repair(self, c: LigandChromosome, rng: np.random.Generator) -> LigandChromosome:
         return correct(c, self.mode, rng, self.right_bounds, self.left_bounds)
@@ -781,19 +754,16 @@ class LigandProblem:
         return self._repair(LigandChromosome.from_array(codes), rng)
 
     def objective(self, c: LigandChromosome) -> float:
-        """``interaction_energy(c, site, params, dy).total``, bit for bit.
+        """``interaction_energy(c, site).total``, bit for bit.
 
         Adds the table's terms right side then left, in slot order, and
-        clamps at ``E_floor``: the same floats summed in the same order
+        clamps at ``E_FLOOR``: the same floats summed in the same order
         as the report path.
         """
         total = self._left_terms.add(c.left, self._right_terms.add(c.right, 0.0))
         if c.right[0] == NUL and c.left[0] == NUL:
             raise ValueError("chromosome places no groups")
-        return max(total, self.params.E_floor)
-
-    def fitness_of(self, energy: float) -> float:
-        return fitness(energy, self.params)
+        return max(total, E_FLOOR)
 
     def mutate(
         self,

@@ -53,6 +53,8 @@ class TspInstance:
         c = np.asarray(self.cost, dtype=float)
         if c.shape != (self.n, self.n):
             raise ValueError(f"cost matrix shape {c.shape} does not match n={self.n}")
+        if not np.isfinite(c).all():
+            raise ValueError("cost matrix must be finite, found NaN or infinity")
         if self.n < 3:
             raise ValueError(f"need at least 3 cities, got {self.n}")
         if np.any(c < 0):
@@ -60,7 +62,7 @@ class TspInstance:
         if np.any(np.diag(c) != 0):
             raise ValueError("cost matrix diagonal must be zero")
         if not np.array_equal(c, c.T):
-            raise ValueError("cost matrix must be symmetric")
+            raise ValueError("cost matrix is not symmetric")
         object.__setattr__(self, "cost", c)
 
     @classmethod
@@ -75,8 +77,11 @@ class TspInstance:
         pts = np.asarray(coords, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("coords must be an (n, 2) array")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
+        # a huge coordinate overflows to an infinite distance, which the
+        # instance's finite-cost check then rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt((diff**2).sum(axis=-1))
         if round_distances:
             dist = np.floor(dist + 0.5)  # TSPLIB nint()
         np.fill_diagonal(dist, 0.0)
@@ -182,6 +187,8 @@ def parse_tsplib(text: str, round_euclidean: bool = True) -> TspInstance:
         n = int(header["DIMENSION"])
     except ValueError:
         raise TsplibFormatError(f"bad DIMENSION value {header['DIMENSION']!r}") from None
+    if n < 3:
+        raise TsplibFormatError(f"DIMENSION must be at least 3, got {n}")
     declared_type = header.get("TYPE", "TSP").upper()
     if declared_type not in ("TSP",):
         raise TsplibFormatError(f"unsupported TYPE {declared_type!r}")
@@ -199,7 +206,12 @@ def parse_tsplib(text: str, round_euclidean: bool = True) -> TspInstance:
         seen = np.zeros(n, dtype=bool)
         for k in range(n):
             idx_tok, idx_line = coord_toks[3 * k]
-            idx = int(_to_float(idx_tok, idx_line))
+            try:
+                idx = int(idx_tok)
+            except ValueError:
+                raise TsplibFormatError(
+                    f"line {idx_line}: node index {idx_tok!r} is not an integer"
+                ) from None
             if not 1 <= idx <= n or seen[idx - 1]:
                 raise TsplibFormatError(f"line {idx_line}: bad or repeated node index {idx}")
             seen[idx - 1] = True
@@ -212,40 +224,24 @@ def parse_tsplib(text: str, round_euclidean: bool = True) -> TspInstance:
         if weight_toks is None:
             raise TsplibFormatError("EXPLICIT instance without EDGE_WEIGHT_SECTION")
         values = [_to_float(tok, line) for tok, line in weight_toks]
-        cost = np.zeros((n, n))
-        if fmt == "FULL_MATRIX":
-            if len(values) != n * n:
-                raise TsplibFormatError(
-                    f"FULL_MATRIX holds {len(values)} entries, expected {n * n}"
-                )
-            cost = np.asarray(values).reshape(n, n)
-            if not np.array_equal(cost, cost.T):
-                raise TsplibFormatError("FULL_MATRIX is not symmetric")
-        elif fmt == "UPPER_ROW":
-            expect = n * (n - 1) // 2
-            if len(values) != expect:
-                raise TsplibFormatError(
-                    f"UPPER_ROW holds {len(values)} entries, expected {expect}"
-                )
-            it = iter(values)
-            for r in range(n - 1):
-                for c in range(r + 1, n):
-                    v = next(it)
-                    cost[r, c] = cost[c, r] = v
-        elif fmt == "LOWER_DIAG_ROW":
-            expect = n * (n + 1) // 2
-            if len(values) != expect:
-                raise TsplibFormatError(
-                    f"LOWER_DIAG_ROW holds {len(values)} entries, expected {expect}"
-                )
-            it = iter(values)
-            for r in range(n):
-                for c in range(r + 1):
-                    v = next(it)
-                    cost[r, c] = cost[c, r] = v
-        else:
+        expect = {"FULL_MATRIX": n * n, "UPPER_ROW": n * (n - 1) // 2,
+                  "LOWER_DIAG_ROW": n * (n + 1) // 2}.get(fmt)
+        if expect is None:
             raise TsplibFormatError(f"unsupported EDGE_WEIGHT_FORMAT {fmt!r}")
-        return TspInstance(name=name, n=n, cost=cost)
+        # count before allocating: a huge DIMENSION must not size a matrix
+        if len(values) != expect:
+            raise TsplibFormatError(f"{fmt} holds {len(values)} entries, expected {expect}")
+        if fmt == "FULL_MATRIX":
+            cost = np.reshape(values, (n, n))
+        else:
+            # the triangle's entries in file order, row by row
+            rows, cols = np.triu_indices(n, 1) if fmt == "UPPER_ROW" else np.tril_indices(n)
+            cost = np.zeros((n, n))
+            cost[rows, cols] = cost[cols, rows] = values
+        try:
+            return TspInstance(name=name, n=n, cost=cost)
+        except ValueError as exc:
+            raise TsplibFormatError(f"{fmt}: {exc}") from None
 
     raise TsplibFormatError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
 
@@ -382,8 +378,8 @@ def random_order_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Genera
 
 def error_percent(average: float, optimum: float) -> float:
     """Relative excess of the average over the known optimum, in percent."""
-    if optimum <= 0:
-        raise ValueError(f"optimum must be positive, got {optimum}")
+    if not (math.isfinite(optimum) and optimum > 0):
+        raise ValueError(f"optimum must be finite and positive, got {optimum}")
     return 100.0 * (average - optimum) / optimum
 
 

@@ -84,6 +84,11 @@ def test_config_from_sources_rejects_unknown_keys():
         config_from_sources({"popsize": "50"}, {})
 
 
+def test_config_from_sources_requires_a_problem():
+    with pytest.raises(ValueError, match="no problem given"):
+        config_from_sources({"runs": "3"}, {})
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="unknown problem"):
         ExperimentConfig(problem="sat")
@@ -431,6 +436,28 @@ def test_main_rejects_cross_problem_configs(tmp_path, capsys):
     code = main(["solve-tsp", "--config", str(cfg)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", ["inf", "nan", "1.5"])
+def test_main_solve_tsp_rejects_non_integer_node_index(tmp_path, capsys, index):
+    path = tmp_path / "bad.tsp"
+    path.write_text(hexagon_tsplib_text().replace("\n1 ", f"\n{index} ", 1))
+    code = main(["solve-tsp", "--instance", str(path), "--pop", "8", "--generations", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: line 6: node index '{index}' is not an integer")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_rejects_non_finite_optimum(tmp_path, hexagon_file, capsys, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = tsp\ninstance = {hexagon_file}\noptimum = {value}\n")
+    code = main(["solve-tsp", "--config", str(cfg), "--pop", "8", "--generations", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: optimum must be finite and positive")
+    assert "error_percent" not in captured.out
 
 
 def _eil51_named_file(path, n):

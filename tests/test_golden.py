@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nbga.cli import ExperimentConfig, emit_trace, render_report, run_experiment
-from nbga.ligand import DEFAULT_PARAMS
+from nbga.ligand import FITNESS_K
 
 SAMPLE_SITE = str(importlib.resources.files("nbga") / "data" / "sample_site.txt")
 
@@ -69,7 +69,7 @@ def rendered(name: str, tmp_path) -> str:
     report = run_experiment(cfg)
     best = min(report.results, key=lambda r: r.best_individual.objective)
     trace_path = tmp_path / "trace.csv"
-    emit_trace(best, trace_path, fitness_k=DEFAULT_PARAMS.k if ligand else None)
+    emit_trace(best, trace_path, fitness_k=FITNESS_K if ligand else None)
     parts = [render_report(report, detail=ligand), trace_path.read_text()]
     for r in report.results:
         genome = r.best_individual.genome

@@ -1,5 +1,6 @@
 """Ligand encoding, repair, geometry, and interaction-energy tests."""
 
+import dataclasses
 import importlib.resources
 
 import numpy as np
@@ -16,7 +17,6 @@ from nbga.ligand import (
     POLAR_CODES,
     RIGHT_TOPOLOGY,
     ActiveSite,
-    EnergyParams,
     EnergyReport,
     LigandChromosome,
     LigandProblem,
@@ -558,12 +558,6 @@ def test_layout_fans_out_children_in_alternating_rows(small_site):
     assert [rows[i].y - base.y for i in (6, 7, 8, 9)] == [-1.0, 1.0, -2.0, 2.0]
 
 
-def test_layout_scales_branch_offsets_with_dy(small_site):
-    c = LigandChromosome((2, 1, 2, 8, 8, 2, 8, 8, 8, 8), ALL_NUL_LEFT)
-    rows = {p.position: p for p in layout(c, small_site, dy=2.0)}
-    assert rows[1].y == pytest.approx(-2.0)
-
-
 def test_layout_omits_empty_slots(small_site):
     c = one_group_chrom()
     rows = layout(c, small_site)
@@ -580,30 +574,11 @@ def test_layout_rejects_live_slot_under_dead_parent(small_site):
 # Energy model
 
 
-def test_energy_params_validation():
-    with pytest.raises(ValueError):
-        EnergyParams(r_min=2.7, r_max=0.7)
-    with pytest.raises(ValueError):
-        EnergyParams(r_min=0.0)
-    with pytest.raises(ValueError):
-        EnergyParams(clash_penalty=-1.0)
-    with pytest.raises(ValueError):
-        EnergyParams(k=0.0)
-    with pytest.raises(ValueError):
-        EnergyParams(E_floor=0.0)
-
-
 def test_vdw_balances_exactly_at_unit_distance():
     from nbga.ligand import vdw
 
     assert vdw(1.0) == 0.0
     assert vdw(1.5) == pytest.approx(0.08008414856964366, rel=1e-12)
-
-
-def test_vdw_scales_with_cn():
-    from nbga.ligand import vdw
-
-    assert vdw(1.0, EnergyParams(Cn=2.0)) == pytest.approx(1.0)
 
 
 def test_vdw_rejects_nonpositive_distance():
@@ -747,10 +722,6 @@ def test_fitness_is_inverse_energy():
     assert fitness(100.0) == pytest.approx(1.0)
 
 
-def test_fitness_scale_constant():
-    assert fitness(2.0, EnergyParams(k=50.0)) == pytest.approx(25.0)
-
-
 def test_fitness_rejects_energy_below_clamp():
     with pytest.raises(ValueError):
         fitness(1e-9)
@@ -791,7 +762,7 @@ def test_problem_objective_is_the_interaction_energy(small_site):
     rng = np.random.default_rng(8)
     c = problem.random_genome(rng)
     assert problem.objective(c) == interaction_energy(c, small_site).total
-    assert problem.fitness_of(4.0) == pytest.approx(25.0)
+    assert fitness(4.0) == pytest.approx(25.0)
 
 
 def _bred_genomes(problem, rng, count):
@@ -809,14 +780,16 @@ def _bred_genomes(problem, rng, count):
 
 @pytest.mark.parametrize("mode", ["variable", "fixed"])
 def test_problem_objective_equals_report_total_bit_for_bit(mode, small_site, sample_site):
-    odd = EnergyParams(Cn=2.0, Cm=0.5, r_min=0.5, r_max=3.1, clash_penalty=7.0,
-                       mismatch_penalty=3.0, E_floor=1e-4)
+    # residues on the backbone rows make some groups clash, so with the
+    # other two sites every window rule is reached: clash, window with
+    # and without mismatch, and beyond R_MAX
+    crowded = dataclasses.replace(small_site, residues=small_site.residues + (
+        Residue("R_C", 3.0, 0.0, False), Residue("L_C", -2.5, 0.0, True)))
     rng = np.random.default_rng(41)
-    for site, params, dy in ((sample_site, EnergyParams(), 1.0), (sample_site, odd, 0.8),
-                             (small_site, odd, 1.3)):
-        problem = LigandProblem(site, mode, params, dy)
+    for site in (sample_site, small_site, crowded):
+        problem = LigandProblem(site, mode)
         for c in _bred_genomes(problem, rng, 700):
-            assert problem.objective(c) == interaction_energy(c, site, params, dy).total
+            assert problem.objective(c) == interaction_energy(c, site).total
 
 
 def test_problem_objective_rejects_invalid_chromosomes(small_site):

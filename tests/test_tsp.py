@@ -1,5 +1,7 @@
 """Tour model, TSPLIB-subset parser, and permutation operators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,22 @@ def test_instance_rejects_fewer_than_three_cities():
         TspInstance("bad", 2, np.array([[0, 1], [1, 0]], dtype=float))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_instance_rejects_non_finite_costs(weight):
+    cost = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
+    cost[0, 1] = cost[1, 0] = weight
+    with pytest.raises(ValueError, match="must be finite"):
+        TspInstance("bad", 3, cost)
+
+
+@pytest.mark.parametrize("far", [float("nan"), float("inf"), 1e308])
+def test_from_coords_rejects_non_finite_distances_without_warnings(far):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy overflow warning would fail here
+        with pytest.raises(ValueError, match="must be finite"):
+            TspInstance.from_coords("bad", [(0.0, 0.0), (far, 1.0), (-far, 0.0)])
+
+
 def test_tour_cost_closes_the_cycle():
     inst = triangle()
     assert tour_cost(np.array([0, 1, 2]), inst) == 18.0
@@ -171,6 +189,12 @@ def test_parse_rejects_missing_dimension():
         parse_tsplib(triangle_text().replace("DIMENSION: 3\n", ""))
 
 
+@pytest.mark.parametrize("dimension", [-2, 2])
+def test_parse_rejects_dimension_below_three(dimension):
+    with pytest.raises(TsplibFormatError, match=f"DIMENSION must be at least 3, got {dimension}"):
+        parse_tsplib(matrix_text("UPPER_ROW", "1 2 3", dimension=dimension))
+
+
 def test_parse_rejects_short_coordinate_section():
     with pytest.raises(TsplibFormatError, match="6 tokens, expected 9"):
         parse_tsplib(triangle_text().replace("1 0.0 0.0\n", ""))
@@ -181,6 +205,27 @@ def test_parse_rejects_bad_node_index():
         parse_tsplib(triangle_text().replace("2 3.0 4.0", "7 3.0 4.0"))
 
 
+@pytest.mark.parametrize("index", ["inf", "nan", "1.5"])
+def test_parse_rejects_non_integer_node_index(index):
+    with pytest.raises(TsplibFormatError, match=f"line 6: node index '{index}' is not an integer"):
+        parse_tsplib(triangle_text().replace("1 0.0 0.0", f"{index} 0.0 0.0"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        matrix_text("UPPER_ROW", "inf 3 4"),
+        matrix_text("FULL_MATRIX", "0 nan 2\nnan 0 3\n2 3 0"),
+        triangle_text().replace("2 3.0 4.0", "2 nan 4.0"),
+        triangle_text().replace("2 3.0 4.0", "2 1e308 -1e308"),
+    ],
+    ids=["inf-weight", "nan-weight", "nan-coordinate", "overflow"],
+)
+def test_parse_rejects_non_finite_costs(text):
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_tsplib(text)
+
+
 def test_parse_rejects_missing_coordinate_section():
     with pytest.raises(TsplibFormatError, match="without NODE_COORD_SECTION"):
         parse_tsplib("NAME: x\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n")
@@ -189,6 +234,12 @@ def test_parse_rejects_missing_coordinate_section():
 def test_parse_rejects_short_weight_section():
     with pytest.raises(TsplibFormatError, match="2 entries, expected 3"):
         parse_tsplib(matrix_text("UPPER_ROW", "2 3"))
+
+
+def test_parse_counts_weights_before_sizing_the_matrix():
+    # a million-city matrix would take 8 TB; the short section is rejected first
+    with pytest.raises(TsplibFormatError, match="3 entries, expected 499999500000"):
+        parse_tsplib(matrix_text("UPPER_ROW", "2 3 4", dimension=10**6))
 
 
 def test_parse_rejects_asymmetric_full_matrix():
@@ -392,6 +443,12 @@ def test_error_percent_known_pairs():
 def test_error_percent_rejects_nonpositive_optimum():
     with pytest.raises(ValueError):
         error_percent(100, 0)
+
+
+@pytest.mark.parametrize("optimum", [float("nan"), float("inf")])
+def test_error_percent_rejects_non_finite_optimum(optimum):
+    with pytest.raises(ValueError, match="finite and positive"):
+        error_percent(100, optimum)
 
 
 def test_brute_force_finds_hexagon_perimeter():
