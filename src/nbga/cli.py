@@ -74,10 +74,12 @@ class ExperimentConfig:
             object.__setattr__(self, "algorithm", "classic")
         if self.algorithm not in ("nbga", "classic"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be at least 1, got {self.runs}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        for name, least in {"runs": 1, "jobs": 1, "pop": 3, "generations": 1}.items():
+            value = getattr(self, name)
+            if value is not None and value < least:  # generations is None for the default
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if self.optimum is not None and not (np.isfinite(self.optimum) and self.optimum > 0):
+            raise ValueError(f"optimum must be finite and positive, got {self.optimum}")
         if self.problem == "tsp" and not self.instance:
             raise ValueError("tsp experiments need an instance file")
         if self.problem.startswith("ligand") and not self.site:
@@ -141,23 +143,24 @@ def load_config_file(path) -> dict[str, str]:
     return out
 
 
-_CONFIG_INT_KEYS = ("runs", "pop", "generations", "seed", "jobs")
-_CONFIG_FLOAT_KEYS = ("optimum",)
-_CONFIG_STR_KEYS = ("problem", "algorithm", "instance", "site", "trace", "out")
+_CONFIG_KEYS = {  # key -> (conversion of its text, what the text must be)
+    **dict.fromkeys(("runs", "pop", "generations", "seed", "jobs"), (int, "an integer")),
+    "optimum": (float, "a number"),
+    **dict.fromkeys(("problem", "algorithm", "instance", "site", "trace", "out"), (str, "text")),
+}
 
 
 def config_from_sources(file_values: dict[str, str], flag_values: dict) -> ExperimentConfig:
     """Merge config-file values with CLI flags; flags win."""
     merged: dict = {}
     for key, text in file_values.items():
-        if key in _CONFIG_INT_KEYS:
-            merged[key] = int(text)
-        elif key in _CONFIG_FLOAT_KEYS:
-            merged[key] = float(text)
-        elif key in _CONFIG_STR_KEYS:
-            merged[key] = text
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
+        convert, kind = _CONFIG_KEYS[key]
+        try:
+            merged[key] = convert(text)
+        except ValueError:
+            raise ValueError(f"{key}: expected {kind}, got {text!r}") from None
     for key, value in flag_values.items():
         if value is not None:
             merged[key] = value

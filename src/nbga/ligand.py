@@ -135,14 +135,15 @@ class TreeTopology:
 
     ``parents[i]`` is the slot index feeding slot ``i`` (-1 for the
     root, which hangs off the side's anchor).  Derived tables are
-    computed once at construction: the ``backbone`` (the internal slots,
-    exactly those with children; every other slot is a leaf), transitive
-    descendants, depths, per-slot y offsets, and the deepest-first leaf
-    fill order.
+    computed once at construction: the slot count, the ``backbone`` (the
+    internal slots, exactly those with children; every other slot is a
+    leaf), transitive descendants, depths, per-slot y offsets, and the
+    deepest-first leaf fill order.
     """
 
     name: str
     parents: tuple[int, ...]
+    slots: int = field(init=False)
     backbone: tuple[int, ...] = field(init=False)
     descendants: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     depths: tuple[int, ...] = field(init=False, repr=False)
@@ -183,15 +184,12 @@ class TreeTopology:
         leaves = [i for i in range(n) if not kids[i]]
         leaves.sort(key=lambda i: (-depths[i], i))
 
+        object.__setattr__(self, "slots", n)
         object.__setattr__(self, "backbone", backbone)
         object.__setattr__(self, "descendants", tuple(tuple(sorted(d)) for d in desc))
         object.__setattr__(self, "depths", tuple(depths))
         object.__setattr__(self, "y_steps", tuple(steps))
         object.__setattr__(self, "leaf_fill_order", tuple(leaves))
-
-    @property
-    def slots(self) -> int:
-        return len(self.parents)
 
 
 RIGHT_TOPOLOGY = TreeTopology(name="right", parents=(-1, 0, 0, 2, 2, 2, 5, 5, 5, 5))
@@ -204,10 +202,10 @@ LEFT_TOPOLOGY = TreeTopology(name="left", parents=(-1, 0, 0, 2, 2, 2, 2))
 
 @dataclass(frozen=True)
 class LigandChromosome:
-    """Group codes for both sides: 10 right slots and 7 left slots,
-    each stored as a tuple of Python ``int`` codes in 1..8 (NumPy input
-    is converted).  C1, C2 and the length bound are :func:`correct`'s
-    job."""
+    """Group codes for both sides: 10 right slots and 7 left slots, each
+    a tuple of Python ``int`` codes in 1..8.  The constructor converts
+    and checks outside codes (NumPy input included); :meth:`_of` trusts
+    legal ones.  C1, C2 and the length bound are :func:`correct`'s job."""
 
     right: tuple[int, ...]
     left: tuple[int, ...]
@@ -224,6 +222,13 @@ class LigandChromosome:
                 raise ValueError(f"illegal group code {v}")
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "left", left)
+
+    @classmethod
+    def _of(cls, right: tuple[int, ...], left: tuple[int, ...]) -> "LigandChromosome":
+        """Unchecked: both sides are tuples of legal Python ``int`` codes."""
+        c = object.__new__(cls)
+        vars(c).update(right=right, left=left)
+        return c
 
     def as_array(self) -> np.ndarray:
         """Both sides concatenated (right then left) as an int array."""
@@ -307,28 +312,26 @@ def validate_chromosome(
 def _correct_side(codes: list[int], topo: TreeTopology, l_min: int, top: int, rng) -> list[int]:
     """Repair one side's codes in place: C2, the variable-mode fill, C1.
 
-    The codes are already in 1..8 (:class:`LigandChromosome` checks
-    that), so the one code rule left is no NUL in fixed mode.
+    The codes are already in 1..8 (checked where they come in, by the
+    public constructor), so the one code rule left is no NUL in fixed mode.
     """
     if not 1 <= l_min <= topo.slots:
         raise ValueError(f"{topo.name}: l_min {l_min} is outside [1, {topo.slots}]")
     if top != NUL and NUL in codes:
         raise ValueError(f"illegal group code {NUL} in fixed mode")
 
-    def live_below(i: int) -> bool:
-        return any(codes[d] != NUL for d in topo.descendants[i])
-
     # C2: backbone in position order is root-to-leaf along the chain
     for i in topo.backbone:
-        if codes[i] == NUL and live_below(i):
-            codes[i] = NONPOLAR_CODES[int(rng.integers(len(NONPOLAR_CODES)))]
+        if codes[i] == NUL:
+            for d in topo.descendants[i]:
+                if codes[d] != NUL:
+                    codes[i] = NONPOLAR_CODES[int(rng.integers(len(NONPOLAR_CODES)))]
+                    break
     # occupancy floor: fill empty leaves deepest-first, reviving any dead
     # slots on the path up (non-polar) so connectivity holds
-    if top == NUL:
-        live = len(codes) - codes.count(NUL)
+    live = len(codes) - codes.count(NUL)
+    if top == NUL and live < l_min:
         for slot in topo.leaf_fill_order:
-            if live >= l_min:
-                break
             if codes[slot] != NUL:
                 continue
             codes[slot] = int(rng.integers(1, 8))
@@ -339,11 +342,16 @@ def _correct_side(codes: list[int], topo: TreeTopology, l_min: int, top: int, rn
                     codes[a] = NONPOLAR_CODES[int(rng.integers(len(NONPOLAR_CODES)))]
                     live += 1
                 a = topo.parents[a]
+            if live >= l_min:
+                break
     # C1, once: neither C2 nor the fill reads polarity, and the fill only
     # adds occupied slots, so sweeping last sees every slot that needs it
     for i in topo.backbone:
-        if codes[i] in _POLAR_SET and live_below(i):
-            codes[i] = _POLAR_REMAP[codes[i]]
+        if codes[i] in _POLAR_SET:
+            for d in topo.descendants[i]:
+                if codes[d] != NUL:
+                    codes[i] = _POLAR_REMAP[codes[i]]
+                    break
     return codes
 
 
@@ -374,7 +382,7 @@ def correct(
         raise ValueError("correct() needs the run's generator for repair draws")
     right = _correct_side(list(c.right), RIGHT_TOPOLOGY, right_bounds, top, rng)
     left = _correct_side(list(c.left), LEFT_TOPOLOGY, left_bounds, top, rng)
-    return LigandChromosome(right, left)
+    return LigandChromosome._of(tuple(right), tuple(left))
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +754,15 @@ class LigandProblem:
         self._right_terms = _SlotTerms("right", RIGHT_TOPOLOGY, site.right_anchor, +1, site)
         self._left_terms = _SlotTerms("left", LEFT_TOPOLOGY, site.left_anchor, -1, site)
 
-    def _repair(self, c: LigandChromosome, rng: np.random.Generator) -> LigandChromosome:
-        return correct(c, self.mode, rng, self.right_bounds, self.left_bounds)
+    def _repair(self, codes, rng: np.random.Generator) -> LigandChromosome:
+        """:func:`correct` of ``n`` legal Python ``int`` codes, right side first."""
+        r = RIGHT_TOPOLOGY.slots
+        raw = LigandChromosome._of(tuple(codes[:r]), tuple(codes[r:]))
+        return correct(raw, self.mode, rng, self.right_bounds, self.left_bounds)
 
     def random_genome(self, rng: np.random.Generator) -> LigandChromosome:
         codes = rng.integers(1, self._top + 1, size=self.n)
-        return self._repair(LigandChromosome.from_array(codes), rng)
+        return self._repair(codes.tolist(), rng)
 
     def objective(self, c: LigandChromosome) -> float:
         """``interaction_energy(c, site).total``, bit for bit.
@@ -793,7 +804,7 @@ class LigandProblem:
         else:
             slot = int(rng.integers(self.n))
             codes[slot] = int(rng.integers(1, self._top + 1))
-        return self._repair(LigandChromosome.from_array(codes), rng)
+        return self._repair(codes.tolist(), rng)
 
     def crossover(self, a: LigandChromosome, b: LigandChromosome, rng: np.random.Generator):
         """Per-side segment swap, then repair of both children.
@@ -810,6 +821,6 @@ class LigandProblem:
             sides.append(segment_crossover(s1, s2, seg_len, pos1, pos2))
         (r1, r2), (l1, l2) = sides
         return (
-            self._repair(LigandChromosome(r1, l1), rng),
-            self._repair(LigandChromosome(r2, l2), rng),
+            self._repair(r1 + l1, rng),
+            self._repair(r2 + l2, rng),
         )

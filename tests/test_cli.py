@@ -100,6 +100,13 @@ def test_experiment_config_validation():
         ExperimentConfig(problem="tsp")
     with pytest.raises(ValueError, match="site"):
         ExperimentConfig(problem="ligand-fixed")
+    with pytest.raises(ValueError, match="pop must be at least 3, got 2"):
+        ExperimentConfig(problem="tsp", pop=2, instance="a.tsp")
+    with pytest.raises(ValueError, match="generations must be at least 1, got 0"):
+        ExperimentConfig(problem="tsp", generations=0, instance="a.tsp")
+    for optimum in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="optimum must be finite and positive"):
+            ExperimentConfig(problem="tsp", optimum=optimum, instance="a.tsp")
 
 
 def test_experiment_config_accepts_classic_ga_alias():
@@ -458,6 +465,43 @@ def test_main_rejects_non_finite_optimum(tmp_path, hexagon_file, capsys, value):
     assert code == 1
     assert captured.err.startswith("error: optimum must be finite and positive")
     assert "error_percent" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("optimum = 0", "optimum must be finite and positive, got 0.0"),
+        ("optimum = -1", "optimum must be finite and positive, got -1.0"),
+        ("pop = 2", "pop must be at least 3, got 2"),
+        ("generations = 0", "generations must be at least 1, got 0"),
+    ],
+)
+def test_main_rejects_bad_budgets_before_any_run(
+    tmp_path, hexagon_file, capsys, monkeypatch, line, message
+):
+    def evolve(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("nbga.cli.evolve", evolve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = tsp\ninstance = {hexagon_file}\nruns = 30\n{line}\n")
+    assert main(["bench", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("runs = 1.5", "runs: expected an integer, got '1.5'"),
+        ("pop = ten", "pop: expected an integer, got 'ten'"),
+        ("optimum = abc", "optimum: expected a number, got 'abc'"),
+    ],
+)
+def test_main_names_the_key_of_a_bad_config_value(tmp_path, hexagon_file, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"problem = tsp\ninstance = {hexagon_file}\n{line}\n")
+    assert main(["solve-tsp", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _eil51_named_file(path, n):

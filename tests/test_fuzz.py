@@ -1,18 +1,24 @@
-"""Fuzz the text inputs: TSPLIB files, site files and config files.
+"""Fuzz the text inputs (TSPLIB files, site files and config files) and
+the variation operators.
 
-Each input is assembled from a small token vocabulary that mixes valid
-values with the ones parsers get wrong (``inf``, ``nan``, ``1.5``,
+Each text input is assembled from a small token vocabulary that mixes
+valid values with the ones parsers get wrong (``inf``, ``nan``, ``1.5``,
 ``1e308``, stray words).  A parser may accept the text or reject it
-with a ``ValueError`` subclass; any other exception is a bug.  The runs
-are derandomized, so every run tries the same inputs.
+with a ``ValueError`` subclass; any other exception is a bug.  The
+operators run from fuzzed generator seeds at small and odd sizes, where
+cut and segment arithmetic has the least room.  The runs are
+derandomized, so every run tries the same inputs.
 """
+
+import importlib.resources
 
 import numpy as np
 import pytest
 
 from nbga.cli import config_from_sources, load_config_file
-from nbga.ligand import LigandProblem, parse_site
-from nbga.tsp import parse_tsplib
+from nbga.core import MutationSchedule
+from nbga.ligand import LigandProblem, load_site, parse_site
+from nbga.tsp import TspInstance, TspProblem, parse_tsplib
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -99,3 +105,39 @@ def test_fuzz_config_file(config_path, lines):
         config_from_sources(load_config_file(config_path), {})
     except ValueError:
         pass
+
+
+TSP_PROBLEMS = [
+    TspProblem(TspInstance.from_coords(f"ring{n}", 10 * np.c_[np.cos(range(n)), np.sin(range(n))]))
+    for n in (3, 4, 5, 7, 9)
+]
+SEEDS = st.integers(0, 2**32 - 1)
+GATE = st.sampled_from([0.0, 1.0]).map(lambda p: MutationSchedule(multilevel_probability=p))
+
+
+@FUZZ
+@given(seed=SEEDS, schedule=GATE)
+def test_fuzz_tsp_operators_at_small_sizes(seed, schedule):
+    rng = np.random.default_rng(seed)
+    for problem in TSP_PROBLEMS:
+        n = problem.n
+        a, b = rng.permutation(n), rng.permutation(n)
+        a0, b0 = a.copy(), b.copy()
+        for tour in (problem.mutate(a, 1, schedule, rng), *problem.crossover(a, b, rng)):
+            assert sorted(tour.tolist()) == list(range(n))
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+SITE = load_site(importlib.resources.files("nbga") / "data" / "sample_site.txt")
+LIGAND_PROBLEMS = {mode: LigandProblem(SITE, mode) for mode in ("variable", "fixed")}
+
+
+@FUZZ
+@given(mode=st.sampled_from(sorted(LIGAND_PROBLEMS)), seed=SEEDS, schedule=GATE)
+def test_fuzz_ligand_operators_leave_inputs_unmodified(mode, seed, schedule):
+    problem, rng = LIGAND_PROBLEMS[mode], np.random.default_rng(seed)
+    a, b = problem.random_genome(rng), problem.random_genome(rng)
+    before = (a.right, a.left, b.right, b.left)
+    problem.mutate(a, 1, schedule, rng)
+    problem.crossover(a, b, rng)
+    assert (a.right, a.left, b.right, b.left) == before

@@ -837,3 +837,27 @@ def test_problem_fixed_mode_chains_stay_valid(small_site):
         c, mate = problem.crossover(c, mate, rng)
         for g in (c, mate):
             assert validate_chromosome(g, "fixed", problem.right_bounds, problem.left_bounds) == []
+
+
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+def test_unchecked_outputs_equal_checked_chromosomes(mode, sample_site):
+    # the operators and correct build chromosomes without the public
+    # constructor's checks; each must be what that constructor would build
+    rng = np.random.default_rng(23)
+    problem = LigandProblem(sample_site, mode)
+    bounds = (problem.right_bounds, problem.left_bounds)
+    gate_on = MutationSchedule(multilevel_probability=1.0)
+    outputs = []
+    for _ in range(100):
+        a, b = problem.random_genome(rng), problem.random_genome(rng)
+        outputs += [a, b, problem.mutate(a, 1, gate_on, rng)]
+        outputs.append(problem.mutate(b, 1, MutationSchedule(), rng))
+        outputs += problem.crossover(a, b, rng)
+        raw = LigandChromosome.from_array(rng.integers(1, 9 if mode == "variable" else 8, 17))
+        outputs.append(correct(raw, mode, rng, *bounds))
+    for c in outputs:
+        for side, slots in ((c.right, 10), (c.left, 7)):
+            assert type(side) is tuple and len(side) == slots
+            assert all(type(v) is int for v in side)
+        assert c == LigandChromosome(c.right, c.left)
+        assert validate_chromosome(c, mode, *bounds) == []
