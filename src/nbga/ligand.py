@@ -405,6 +405,11 @@ def segment_crossover(p1, p2, seg_len: int, pos1: int, pos2: int):
     for pos in (pos1, pos2):
         if not 0 <= pos <= n - seg_len:
             raise ValueError(f"segment at {pos} overruns the array (len {seg_len})")
+    return _swap_segments(a, b, seg_len, pos1, pos2)
+
+
+def _swap_segments(a: tuple, b: tuple, seg_len: int, pos1: int, pos2: int):
+    """Unchecked :func:`segment_crossover` of two equal-length tuples."""
     child1 = a[:pos1] + b[pos2 : pos2 + seg_len] + a[pos1 + seg_len :]
     child2 = b[:pos2] + a[pos1 : pos1 + seg_len] + b[pos2 + seg_len :]
     return child1, child2
@@ -818,7 +823,7 @@ class LigandProblem:
             seg_len = int(rng.integers(1, n // 2 + 1))
             pos1 = int(rng.integers(0, n - seg_len + 1))
             pos2 = int(rng.integers(0, n - seg_len + 1))
-            sides.append(segment_crossover(s1, s2, seg_len, pos1, pos2))
+            sides.append(_swap_segments(s1, s2, seg_len, pos1, pos2))
         (r1, r2), (l1, l2) = sides
         return (
             self._repair(r1 + l1, rng),

@@ -5,6 +5,13 @@ The mutation and crossover operators work on any 1-D integer array, so
 the variable-length ligand encoding reuses them on group-code arrays.
 Deterministic cores take explicit positions/cuts; the ``random_*``
 wrappers draw parameters from a generator.
+
+Inputs are checked once, in the public free functions: ``tour_cost``
+rejects a tour that is not a permutation of ``0..n-1`` and
+``order_crossover`` checks its parents and cuts, each with a
+``ValueError``.  :class:`TspProblem`'s ``objective`` and ``crossover``
+run the unchecked private cores behind them on the tours the engine's
+own operators built.
 """
 
 from __future__ import annotations
@@ -89,12 +96,22 @@ class TspInstance:
 
 
 def tour_cost(tour: np.ndarray, instance: TspInstance) -> float:
-    """Length of the closed tour, including the edge back to the start."""
+    """Length of the closed tour, including the edge back to the start.
+
+    Raises ``ValueError`` unless ``tour`` is a permutation of ``0..n-1``.
+    """
     t = np.asarray(tour)
-    if t.shape != (instance.n,):
-        raise ValueError(f"tour has {t.shape} cities, instance has {instance.n}")
-    c = instance.cost
-    return float(c[t[:-1], t[1:]].sum() + c[t[-1], t[0]])
+    n = instance.n
+    if t.shape != (n,):
+        raise ValueError(f"tour has {t.shape} cities, instance has {n}")
+    if t.dtype.kind not in "iu" or not np.array_equal(np.sort(t), np.arange(n)):
+        raise ValueError(f"tour is not a permutation of 0..{n - 1}")
+    return _tour_length(instance.cost, t)
+
+
+def _tour_length(cost: np.ndarray, t: np.ndarray) -> float:
+    """Unchecked :func:`tour_cost`: ``t`` is a permutation array."""
+    return float(cost[t[:-1], t[1:]].sum() + cost[t[-1], t[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +281,7 @@ def permute_at(arr: np.ndarray, positions, order) -> np.ndarray:
     """
     positions = np.asarray(positions)
     out = np.array(arr)
-    out[positions] = out[positions][np.asarray(order)]
+    out[positions] = out[positions[np.asarray(order)]]
     return out
 
 
@@ -281,9 +298,12 @@ def multiple_exchange_mutation(arr: np.ndarray, ri: int, rng: np.random.Generato
         raise ValueError(f"ri must lie in [2, {n}], got {ri}")
     positions = rng.choice(n, size=ri, replace=False)
     order = rng.permutation(ri)
-    while (order == np.arange(ri)).all():
+    identity = list(range(ri))
+    while order.tolist() == identity:
         order = rng.permutation(ri)
-    return permute_at(arr, positions, order)
+    out = np.array(arr)
+    out[positions] = out[positions[order]]
+    return out
 
 
 def simple_inversion_mutation(arr: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -309,9 +329,14 @@ def displacement_mutation(arr: np.ndarray, i: int, j: int, p: int) -> np.ndarray
     return np.concatenate([rest[:p], seg, rest[p:]])
 
 
+def _cut_pair(n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct positions in ``0..n-1``, smaller first."""
+    i, j = rng.choice(n, size=2, replace=False).tolist()
+    return (i, j) if i < j else (j, i)
+
+
 def random_inversion(arr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    i, j = np.sort(rng.choice(len(arr), size=2, replace=False))
-    return simple_inversion_mutation(arr, int(i), int(j))
+    return simple_inversion_mutation(arr, *_cut_pair(len(arr), rng))
 
 
 def random_displacement(arr: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -351,9 +376,17 @@ def order_crossover(p1: np.ndarray, p2: np.ndarray, cut1: int, cut2: int) -> tup
     if np.minimum(p1, p2).min() < 0:
         raise ValueError("city labels must be non-negative")
     labels = int(np.maximum(p1, p2).max()) + 1
+    return _order_crossover(p1, p2, cut1, cut2, labels, np.tile(np.arange(n), 2))
+
+
+def _order_crossover(p1, p2, cut1: int, cut2: int, labels: int, ring2: np.ndarray):
+    """Unchecked :func:`order_crossover`: equal-length parents with labels
+    in ``0..labels-1``, ``0 <= cut1 < cut2 < n``, and ``ring2`` is
+    ``arange(n)`` twice over."""
+    n = len(p1)
     # slot order of the fill: cyclically from just past the segment;
     # its first n - len(segment) slots are the ones outside it
-    ring = np.arange(cut2 + 1, cut2 + 1 + n) % n
+    ring = ring2[cut2 + 1 : cut2 + 1 + n]
     free = ring[: n - (cut2 + 1 - cut1)]
 
     def make(keep: np.ndarray, donor: np.ndarray) -> np.ndarray:
@@ -368,8 +401,7 @@ def order_crossover(p1: np.ndarray, p2: np.ndarray, cut1: int, cut2: int) -> tup
 
 
 def random_order_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator):
-    cut1, cut2 = np.sort(rng.choice(len(p1), size=2, replace=False))
-    return order_crossover(p1, p2, int(cut1), int(cut2))
+    return order_crossover(p1, p2, *_cut_pair(len(p1), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +430,7 @@ def brute_force_optimum(instance: TspInstance) -> tuple[float, np.ndarray]:
         if perm[0] > perm[-1]:  # each cycle once, not its mirror
             continue
         tour = np.array((0,) + perm)
-        cost = tour_cost(tour, instance)
+        cost = _tour_length(instance.cost, tour)
         if cost < best_cost:
             best_cost = cost
             best_tour = tour
@@ -409,23 +441,29 @@ def brute_force_optimum(instance: TspInstance) -> tuple[float, np.ndarray]:
 # Problem bundle
 
 
-# base mutations drawn from uniformly when a mutation call is not
-# promoted to a multilevel one
+# base mutations, in the order of the index that a mutation call draws
+# when it is not promoted to a multilevel one
 MUTATION_OPERATORS = ("multiple_exchange", "inversion", "displacement")
 
 
 class TspProblem:
-    """Adapts a :class:`TspInstance` to the engine's problem surface."""
+    """Adapts a :class:`TspInstance` to the engine's problem surface.
+
+    ``objective`` and ``crossover`` trust their tours to be permutations
+    of ``0..n-1``, as every genome the engine builds is.
+    """
 
     def __init__(self, instance: TspInstance):
         self.instance = instance
         self.n = instance.n
+        self._cost = instance.cost
+        self._ring2 = np.tile(np.arange(self.n), 2)
 
     def random_genome(self, rng: np.random.Generator) -> np.ndarray:
         return rng.permutation(self.n)
 
     def objective(self, tour: np.ndarray) -> float:
-        return tour_cost(tour, self.instance)
+        return _tour_length(self._cost, tour)
 
     def mutate(
         self,
@@ -440,14 +478,14 @@ class TspProblem:
         ):
             variant = MULTILEVEL_VARIANTS[int(rng.integers(len(MULTILEVEL_VARIANTS)))]
             return multilevel_mutation(tour, variant, rng)
-        op = MUTATION_OPERATORS[int(rng.integers(len(MUTATION_OPERATORS)))]
-        if op == "multiple_exchange":
-            hi = hi_at(gen, self.n, schedule)
-            ri = int(rng.integers(2, hi + 1))
+        op = int(rng.integers(len(MUTATION_OPERATORS)))
+        if op == 0:
+            ri = int(rng.integers(2, hi_at(gen, self.n, schedule) + 1))
             return multiple_exchange_mutation(tour, ri, rng)
-        if op == "inversion":
+        if op == 1:
             return random_inversion(tour, rng)
         return random_displacement(tour, rng)
 
     def crossover(self, a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
-        return random_order_crossover(a, b, rng)
+        cut1, cut2 = _cut_pair(self.n, rng)
+        return _order_crossover(a, b, cut1, cut2, self.n, self._ring2)

@@ -1,13 +1,15 @@
-"""Fuzz the text inputs (TSPLIB files, site files and config files) and
-the variation operators.
+"""Fuzz the text inputs (TSPLIB files, site files and config files), the
+variation operators and ``tour_cost``.
 
 Each text input is assembled from a small token vocabulary that mixes
 valid values with the ones parsers get wrong (``inf``, ``nan``, ``1.5``,
 ``1e308``, stray words).  A parser may accept the text or reject it
 with a ``ValueError`` subclass; any other exception is a bug.  The
 operators run from fuzzed generator seeds at small and odd sizes, where
-cut and segment arithmetic has the least room.  The runs are
-derandomized, so every run tries the same inputs.
+cut and segment arithmetic has the least room.  ``tour_cost`` gets
+permutations and near misses; it must price the first and reject the
+rest with ``ValueError``.  The runs are derandomized, so every run
+tries the same inputs.
 """
 
 import importlib.resources
@@ -18,7 +20,7 @@ import pytest
 from nbga.cli import config_from_sources, load_config_file
 from nbga.core import MutationSchedule
 from nbga.ligand import LigandProblem, load_site, parse_site
-from nbga.tsp import TspInstance, TspProblem, parse_tsplib
+from nbga.tsp import TspInstance, TspProblem, parse_tsplib, tour_cost
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -126,6 +128,24 @@ def test_fuzz_tsp_operators_at_small_sizes(seed, schedule):
         for tour in (problem.mutate(a, 1, schedule, rng), *problem.crossover(a, b, rng)):
             assert sorted(tour.tolist()) == list(range(n))
         assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_tour_cost_accepts_only_permutations(data):
+    problem = data.draw(st.sampled_from(TSP_PROBLEMS))
+    n = problem.n
+    tour = data.draw(st.one_of(
+        st.permutations(range(n)),
+        st.lists(st.integers(-2, n + 1), min_size=n - 1, max_size=n + 1),
+    ))
+    is_permutation = sorted(tour) == list(range(n))
+    try:
+        cost = tour_cost(np.array(tour), problem.instance)
+    except ValueError:
+        assert not is_permutation
+        return
+    assert is_permutation and cost == problem.objective(np.array(tour))
 
 
 SITE = load_site(importlib.resources.files("nbga") / "data" / "sample_site.txt")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nbga.core import MutationSchedule
+from nbga.core import MutationSchedule, hi_at
 from nbga.tsp import (
     MULTILEVEL_VARIANTS,
     TspInstance,
@@ -127,6 +127,12 @@ def test_from_coords_rejects_non_finite_distances_without_warnings(far):
 def test_tour_cost_closes_the_cycle():
     inst = triangle()
     assert tour_cost(np.array([0, 1, 2]), inst) == 18.0
+
+
+@pytest.mark.parametrize("tour", [[-1, 0, 1], [0, 0, 0], [0, 1, 3], [0.0, 1.0, 2.0], [0, 1]])
+def test_tour_cost_rejects_non_permutations(tour):
+    with pytest.raises(ValueError):
+        tour_cost(np.array(tour), triangle())
 
 
 def test_tour_cost_invariant_to_rotation_and_reversal():
@@ -515,3 +521,90 @@ def test_problem_crossover_children_are_permutations(hexagon):
         a, b = problem.random_genome(rng), problem.random_genome(rng)
         for child in problem.crossover(a, b, rng):
             assert sorted(child.tolist()) == list(range(6))
+
+
+# The operator path as it stood when every call went through the checked
+# public functions: string dispatch, ``np.sort`` cut pairs, the checked
+# ``order_crossover`` and ``tour_cost``.  ``TspProblem`` must reproduce
+# it call for call: same children, dtypes, objectives and generator state.
+
+
+def _ref_exchange(arr, ri, rng):
+    positions = rng.choice(len(arr), size=ri, replace=False)
+    order = rng.permutation(ri)
+    while (order == np.arange(ri)).all():
+        order = rng.permutation(ri)
+    out = np.array(arr)
+    out[positions] = out[positions][order]
+    return out
+
+
+def _ref_inversion(arr, rng):
+    i, j = np.sort(rng.choice(len(arr), size=2, replace=False))
+    return simple_inversion_mutation(arr, int(i), int(j))
+
+
+def _ref_displacement(arr, rng):
+    n = len(arr)
+    i = int(rng.integers(n))
+    j = int(rng.integers(i, n))
+    p = int(rng.integers(0, n - (j - i + 1) + 1))
+    return displacement_mutation(arr, i, j, p)
+
+
+def _ref_mutate(n, tour, gen, schedule, rng):
+    if (
+        gen >= schedule.multilevel_start_generation
+        and rng.random() < schedule.multilevel_probability
+    ):
+        variant = MULTILEVEL_VARIANTS[int(rng.integers(len(MULTILEVEL_VARIANTS)))]
+        if variant == "exchange+displacement":
+            step = _ref_exchange(tour, 2, rng)
+        else:
+            step = _ref_inversion(tour, rng)
+        return _ref_displacement(step, rng)
+    op = ("multiple_exchange", "inversion", "displacement")[int(rng.integers(3))]
+    if op == "multiple_exchange":
+        ri = int(rng.integers(2, hi_at(gen, n, schedule) + 1))
+        return _ref_exchange(tour, ri, rng)
+    if op == "inversion":
+        return _ref_inversion(tour, rng)
+    return _ref_displacement(tour, rng)
+
+
+def _ref_crossover(a, b, rng):
+    cut1, cut2 = np.sort(rng.choice(len(a), size=2, replace=False))
+    return order_crossover(a, b, int(cut1), int(cut2))
+
+
+def _assert_same_tours(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 9, 51])
+def test_problem_operators_match_the_checked_reference(n):
+    for seed in range(30):
+        coords = np.random.default_rng(1000 + seed).uniform(0, 100, (n, 2))
+        for rounded in (True, False):
+            instance = TspInstance.from_coords(f"r{n}", coords, round_distances=rounded)
+            problem = TspProblem(instance)
+            for p in (0.0, 1.0):
+                schedule = MutationSchedule(
+                    hi_start=n, decay_generations=8, multilevel_probability=p
+                )
+                start = np.random.default_rng(seed + 100)
+                a, b = start.permutation(n), start.permutation(n)
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for gen in range(1, 11):
+                    mutant = problem.mutate(a, gen, schedule, rng)
+                    _assert_same_tours([mutant], [_ref_mutate(n, a, gen, schedule, ref)])
+                    assert rng.bit_generator.state == ref.bit_generator.state
+                    kids = problem.crossover(mutant, b, rng)
+                    _assert_same_tours(kids, _ref_crossover(mutant, b, ref))
+                    assert rng.bit_generator.state == ref.bit_generator.state
+                    for tour in (mutant, *kids):
+                        cost = problem.objective(tour)
+                        assert type(cost) is float and cost == tour_cost(tour, instance)
+                    a, b = kids
